@@ -10,6 +10,7 @@
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
 use lsqca_isa::Program;
 use lsqca_lattice::QubitTag;
+use std::cmp::Reverse;
 
 /// Number of hot qubits implied by a hybrid fraction `f` over `num_qubits`.
 pub fn hot_set_size(num_qubits: u32, fraction: f64) -> usize {
@@ -17,22 +18,27 @@ pub fn hot_set_size(num_qubits: u32, fraction: f64) -> usize {
     ((num_qubits as f64) * f).round() as usize
 }
 
-/// Selects the `count` most frequently referenced memory qubits of `program`,
-/// breaking ties by lower qubit index.
-pub fn hot_set_by_access_count(program: &Program, count: usize) -> Vec<QubitTag> {
-    let stats = program.stats();
-    let mut ranked: Vec<(u64, u32)> = stats
+/// Ranks every memory qubit `program` references by access count: most
+/// referenced first, ties by ascending qubit index. Every access-count hot set
+/// is a prefix of this ranking, so a sweep ranks each program once.
+pub fn access_ranking(program: &Program) -> Vec<QubitTag> {
+    let mut ranked: Vec<(u64, u32)> = program
+        .stats()
         .memory_reference_counts
         .iter()
         .map(|(addr, &refs)| (refs, addr.index()))
         .collect();
-    // Most referenced first; ties by ascending index for determinism.
-    ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    ranked
-        .into_iter()
-        .take(count)
-        .map(|(_, q)| QubitTag(q))
-        .collect()
+    ranked.sort_by_key(|&(refs, index)| (Reverse(refs), index));
+    ranked.into_iter().map(|(_, q)| QubitTag(q)).collect()
+}
+
+/// Selects the `count` most frequently referenced memory qubits of `program`,
+/// breaking ties by lower qubit index: the first `count` entries of
+/// [`access_ranking`].
+pub fn hot_set_by_access_count(program: &Program, count: usize) -> Vec<QubitTag> {
+    let mut ranking = access_ranking(program);
+    ranking.truncate(count);
+    ranking
 }
 
 /// Selects every qubit belonging to a register with one of the given roles

@@ -15,5 +15,7 @@
 pub mod hotset;
 pub mod reference;
 
-pub use hotset::{hot_set_by_access_count, hot_set_by_role, hot_set_by_role_map, hot_set_size};
+pub use hotset::{
+    access_ranking, hot_set_by_access_count, hot_set_by_role, hot_set_by_role_map, hot_set_size,
+};
 pub use reference::{AccessLocalityReport, CumulativeDistribution};

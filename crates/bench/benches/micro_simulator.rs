@@ -30,7 +30,7 @@ fn multiplier_workload() -> Workload {
 
 fn bench_simulator(c: &mut Criterion) {
     let workload = multiplier_workload();
-    let instructions = workload.compiled().program.len();
+    let instructions = workload.compiled().program().len();
     println!("simulating {instructions} instructions per iteration");
 
     let mut group = c.benchmark_group("micro_simulator");
@@ -50,7 +50,7 @@ fn bench_simulator(c: &mut Criterion) {
 
 fn bench_hotpath(c: &mut Criterion) {
     let workload = multiplier_workload();
-    let program = workload.compiled().program.clone();
+    let program = workload.compiled().program().clone();
 
     let mut group = c.benchmark_group("micro_hotpath");
     group.sample_size(20);

@@ -11,14 +11,16 @@
 //! loaded from the on-disk cache (`lsqca_workloads::cache`) via
 //! [`Workload::from_artifact`], in which case nothing is compiled at all.
 
-use lsqca_analysis::{hot_set_by_access_count, hot_set_by_role_map, hot_set_size};
+use lsqca_analysis::{access_ranking, hot_set_by_role_map, hot_set_size};
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
 use lsqca_compiler::CompilerConfig;
 use lsqca_lattice::{Beats, QubitTag};
 use lsqca_sim::{ExecutionStats, MemoryTrace, SimConfig, Simulator};
 use lsqca_workloads::CompiledWorkload;
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// How the hot set of a hybrid floorplan is chosen.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -151,6 +153,9 @@ impl ExperimentConfig {
 #[derive(Debug, Clone)]
 pub struct Workload {
     artifact: CompiledWorkload,
+    /// [`access_ranking`] of the program, ranked on first use and sliced by
+    /// every [`HotSetStrategy::ByAccessCount`] hot set after that.
+    ranking: OnceLock<Vec<QubitTag>>,
 }
 
 impl Workload {
@@ -162,15 +167,16 @@ impl Workload {
     /// Compiles `circuit` with an explicit compiler configuration.
     pub fn with_compiler(circuit: Circuit, config: CompilerConfig) -> Self {
         let descriptor = format!("adhoc:{}", circuit.name());
-        Workload {
-            artifact: CompiledWorkload::compile(descriptor, &circuit, config),
-        }
+        Workload::from_artifact(CompiledWorkload::compile(descriptor, &circuit, config))
     }
 
     /// Wraps an existing artifact (e.g. one loaded from the on-disk cache of
     /// `lsqca_workloads::cache`) without compiling anything.
     pub fn from_artifact(artifact: CompiledWorkload) -> Self {
-        Workload { artifact }
+        Workload {
+            artifact,
+            ranking: OnceLock::new(),
+        }
     }
 
     /// The compiled-workload artifact backing this workload.
@@ -186,29 +192,40 @@ impl Workload {
 
     /// Number of data qubits (SAM addresses) the workload needs.
     pub fn num_qubits(&self) -> u32 {
-        self.artifact.num_qubits
+        self.artifact.num_qubits()
     }
 
     /// Selects the hot qubits for the given configuration.
+    ///
+    /// The program's access-count ranking is derived once per workload; a
+    /// [`HotSetStrategy::ByAccessCount`] hot set is a prefix of it.
     pub fn hot_qubits(&self, config: &ExperimentConfig) -> Vec<QubitTag> {
+        let _span = lsqca_telemetry::span("point.hot_set");
+        self.hot_set(config).into_owned()
+    }
+
+    /// [`Workload::hot_qubits`], borrowed from the memoized ranking or the
+    /// explicit list where possible.
+    fn hot_set<'a>(&'a self, config: &'a ExperimentConfig) -> Cow<'a, [QubitTag]> {
         if config.hybrid_fraction <= 0.0 || config.floorplan.is_conventional() {
-            return Vec::new();
+            return Cow::Borrowed(&[]);
         }
         let count = hot_set_size(self.num_qubits(), config.hybrid_fraction);
         match &config.hot_set {
-            HotSetStrategy::ByAccessCount => hot_set_by_access_count(&self.artifact.program, count),
+            HotSetStrategy::ByAccessCount => {
+                let ranking = self
+                    .ranking
+                    .get_or_init(|| access_ranking(self.artifact.program()));
+                Cow::Borrowed(&ranking[..count.min(ranking.len())])
+            }
             HotSetStrategy::ByRole(roles) => {
                 // Role-based pinning uses the whole register set even when it
                 // is smaller than `count`; `count` only caps the list.
                 let mut hot = hot_set_by_role_map(self.artifact.registers(), roles);
                 hot.truncate(count);
-                hot
+                Cow::Owned(hot)
             }
-            HotSetStrategy::Explicit(list) => {
-                let mut hot = list.clone();
-                hot.truncate(count);
-                hot
-            }
+            HotSetStrategy::Explicit(list) => Cow::Borrowed(&list[..count.min(list.len())]),
         }
     }
 
@@ -225,7 +242,12 @@ impl Workload {
     /// the stats payload schema. Changing any of them changes the key, so
     /// stale records are simply never found again — the same invalidation
     /// contract as the workload cache.
+    ///
+    /// The payload hash is derived once per artifact (see
+    /// [`CompiledWorkload::payload_hash`]), so a key costs one `format!` of
+    /// the configuration per point.
     pub fn result_key(&self, config: &ExperimentConfig) -> String {
+        let _span = lsqca_telemetry::span("point.result_key");
         format!(
             "{}|payload={:016x}|experiment={:?}|isa=v{}|sim=r{}|stats={}",
             self.artifact.descriptor(),
@@ -250,13 +272,13 @@ impl Workload {
         stats: ExecutionStats,
     ) -> ExperimentResult {
         ExperimentResult {
-            workload: self.artifact.program.name().to_string(),
+            workload: self.artifact.program().name().to_string(),
             config_label: config.label(),
             total_beats: stats.total_beats,
             cpi: stats.cpi(),
             memory_density: stats.memory_density,
             total_cells: stats.total_cells,
-            hot_qubits: self.hot_qubits(config).len() as u32,
+            hot_qubits: self.hot_set(config).len() as u32,
             stats,
             trace: MemoryTrace::new(),
         }
@@ -271,7 +293,17 @@ impl Workload {
     /// model; the compiler only produces well-formed programs, so this
     /// indicates a corrupted artifact.
     pub fn run(&self, config: &ExperimentConfig) -> ExperimentResult {
-        self.run_with_hot(config, self.hot_qubits(config))
+        let hot = self.hot_qubits(config);
+        let mut builder = Simulator::builder(&config.arch_config(), self.simulator_qubits())
+            .hot_qubits(&hot)
+            .config(config.sim);
+        if let Some(policy) = config.migration {
+            builder = builder.migration_policy(policy.build());
+        }
+        let simulator = builder
+            .build()
+            .unwrap_or_else(|err| panic!("invalid simulator configuration: {err}"));
+        self.finish(config, hot.len() as u32, simulator)
     }
 
     /// The simulator's qubit capacity for this workload. The footprint is
@@ -309,11 +341,11 @@ impl Workload {
             Ok(outcome) => outcome,
             Err(err) => panic!(
                 "simulation of `{}` failed: {err}",
-                self.artifact.program.name()
+                self.artifact.program().name()
             ),
         };
         ExperimentResult {
-            workload: self.artifact.program.name().to_string(),
+            workload: self.artifact.program().name().to_string(),
             config_label: config.label(),
             total_beats: outcome.stats.total_beats,
             cpi: outcome.stats.cpi(),
@@ -325,29 +357,13 @@ impl Workload {
         }
     }
 
-    /// [`Workload::run`] with the hot set already selected (the batch path
-    /// amortizes that selection across configurations sharing a strategy).
-    fn run_with_hot(&self, config: &ExperimentConfig, hot: Vec<QubitTag>) -> ExperimentResult {
-        let mut builder = Simulator::builder(&config.arch_config(), self.simulator_qubits())
-            .hot_qubits(&hot)
-            .config(config.sim);
-        if let Some(policy) = config.migration {
-            builder = builder.migration_policy(policy.build());
-        }
-        let simulator = builder
-            .build()
-            .unwrap_or_else(|err| panic!("invalid simulator configuration: {err}"));
-        self.finish(config, hot.len() as u32, simulator)
-    }
-
     /// Executes the workload's single pre-lowered execution trace against
     /// every configuration in `configs`, in order — the batched sweep path.
     ///
     /// The per-point work a naive `configs.iter().map(|c| w.run(c))` loop
     /// repeats is amortized here: the trace is lowered zero times (the
-    /// artifact carries it), the hot-set selection — a sort over the
-    /// program's access counts per point — is computed once per distinct
-    /// `(hot-set size, strategy)` pair, and the simulator itself is warmed
+    /// artifact carries it), the access-count ranking behind the hot sets is
+    /// derived once per workload, and the simulator itself is warmed
     /// **once** per distinct `(architecture, hot set, sim config)` group and
     /// then copy-on-write-[`fork`](Simulator::fork)ed per configuration, so
     /// placement and vacancy-ring construction are never repeated for policy
@@ -365,28 +381,12 @@ impl Workload {
     /// amortization contract without racing other threads.
     fn run_batch_impl(&self, configs: &[ExperimentConfig]) -> (Vec<ExperimentResult>, u64, u64) {
         // Sweeps vary floorplan/factories far more often than hot-set shape,
-        // so tiny linear-scan memos beat hash maps here (typically a handful
-        // of distinct entries per batch).
-        let mut selected: Vec<(usize, HotSetStrategy, Vec<QubitTag>)> = Vec::new();
+        // so a tiny linear-scan memo beats a hash map here (typically a
+        // handful of distinct entries per batch).
         let mut parents: Vec<(ArchConfig, Vec<QubitTag>, SimConfig, Simulator)> = Vec::new();
         let mut results = Vec::with_capacity(configs.len());
         for config in configs {
-            let hot = if config.hybrid_fraction <= 0.0 || config.floorplan.is_conventional() {
-                Vec::new()
-            } else {
-                let count = hot_set_size(self.num_qubits(), config.hybrid_fraction);
-                match selected
-                    .iter()
-                    .find(|(c, strategy, _)| *c == count && *strategy == config.hot_set)
-                {
-                    Some((_, _, hot)) => hot.clone(),
-                    None => {
-                        let hot = self.hot_qubits(config);
-                        selected.push((count, config.hot_set.clone(), hot.clone()));
-                        hot
-                    }
-                }
-            };
+            let hot = self.hot_qubits(config);
             let arch = config.arch_config();
             let parent = match parents
                 .iter()

@@ -1895,9 +1895,9 @@ mod tests {
             &cfg.build(),
             lsqca_compiler::CompilerConfig::default(),
         );
-        let qubits = workload.num_qubits.max(workload.memory_footprint());
+        let qubits = workload.num_qubits().max(workload.memory_footprint());
         let mut simulator = sim(&point(1), qubits);
-        let via_program = simulator.execute(&workload.program).unwrap();
+        let via_program = simulator.execute(workload.program()).unwrap();
         let via_artifact = simulator.execute(&workload).unwrap();
         assert_eq!(via_program, via_artifact);
         assert!(via_artifact.stats.command_count > 0);
@@ -2255,8 +2255,10 @@ mod tests {
         let forked_before = crate::snapshot::fork_count();
         let parent = sim(&point(1), 8);
         let _forks: Vec<Simulator> = (0..3).map(|_| parent.fork()).collect();
-        assert_eq!(crate::snapshot::warm_count() - warmed_before, 1);
-        assert_eq!(crate::snapshot::fork_count() - forked_before, 3);
+        // Only lower bounds: tests building simulators in parallel move the
+        // process-wide counters too.
+        assert!(crate::snapshot::warm_count() - warmed_before >= 1);
+        assert!(crate::snapshot::fork_count() - forked_before >= 3);
     }
 
     #[test]

@@ -139,5 +139,44 @@ fn mutated_config_gets_its_own_artifact() {
         CacheEvent::Compiled,
         "one changed parameter = new key"
     );
-    assert_eq!(artifact.num_qubits, 9);
+    assert_eq!(artifact.num_qubits(), 9);
+}
+
+/// Result keys embed the artifact's payload hash, which each artifact derives
+/// once: lazily when never serialized, from `to_json` when the cache publishes
+/// it, from `from_json` when the cache serves it. All three must agree, or a
+/// store filled by one process would miss in the next.
+#[test]
+fn result_keys_agree_across_compiled_published_and_loaded_artifacts() {
+    let _serial = compile_lock();
+    let cache = temp_cache("result-key");
+    let compiler = CompilerConfig::default();
+    let cfg = Benchmark::Select.config(InstanceSize::Reduced);
+
+    let (published, event) = cache.load_or_compile(&cfg.descriptor(), compiler, || cfg.build());
+    assert_eq!(event, CacheEvent::Compiled);
+    let (loaded, event) = cache.load_or_compile(&cfg.descriptor(), compiler, || cfg.build());
+    assert_eq!(event, CacheEvent::Hit);
+    let never_serialized = CompiledWorkload::compile(
+        WorkloadCache::key(&cfg.descriptor(), &compiler),
+        &cfg.build(),
+        compiler,
+    );
+    assert_eq!(never_serialized, loaded);
+    assert_eq!(published, loaded);
+
+    let workloads = [never_serialized, published, loaded].map(Workload::from_artifact);
+    for config in [
+        ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 1),
+        ExperimentConfig::new(FloorplanKind::LineSam { banks: 2 }, 4).with_hybrid_fraction(0.3),
+    ] {
+        let key = workloads[0].result_key(&config);
+        for workload in &workloads[1..] {
+            assert_eq!(workload.result_key(&config), key);
+            assert_eq!(
+                workload.hot_qubits(&config),
+                workloads[0].hot_qubits(&config)
+            );
+        }
+    }
 }
