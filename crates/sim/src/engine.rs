@@ -2251,14 +2251,21 @@ mod tests {
 
     #[test]
     fn fork_and_warm_counters_advance() {
-        let warmed_before = crate::snapshot::warm_count();
-        let forked_before = crate::snapshot::fork_count();
-        let parent = sim(&point(1), 8);
-        let _forks: Vec<Simulator> = (0..3).map(|_| parent.fork()).collect();
-        // Only lower bounds: tests building simulators in parallel move the
-        // process-wide counters too.
-        assert!(crate::snapshot::warm_count() - warmed_before >= 1);
-        assert!(crate::snapshot::fork_count() - forked_before >= 3);
+        // The counters are process-wide and tests building simulators in
+        // parallel advance them too. A build or fork that counted itself
+        // twice (or not at all) would miss on every attempt, so one attempt
+        // with exactly one warm and three forks shows each counts once.
+        let counts_exactly = || {
+            let warmed_before = crate::snapshot::warm_count();
+            let forked_before = crate::snapshot::fork_count();
+            let parent = sim(&point(1), 8);
+            let _forks: Vec<Simulator> = (0..3).map(|_| parent.fork()).collect();
+            (
+                crate::snapshot::warm_count() - warmed_before,
+                crate::snapshot::fork_count() - forked_before,
+            ) == (1, 3)
+        };
+        assert!((0..100).any(|_| counts_exactly()));
     }
 
     #[test]
