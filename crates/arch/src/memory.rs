@@ -600,7 +600,7 @@ impl MemorySystem {
     /// dual-port or line banks, a checked-out operand, or the degenerate
     /// self-CX — takes the literal five-call sequence, so errors and partial
     /// state on failure are identical to issuing the calls separately (the
-    /// executable spec kept in `Simulator::run_classified`).
+    /// executable spec kept in the simulator's `Classified` interpreter).
     ///
     /// # Errors
     ///

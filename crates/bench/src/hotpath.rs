@@ -728,7 +728,7 @@ pub fn generate_with(scale: Scale, budget: MeasureBudget) -> HotpathReport {
     // Trace lowering: a fresh `ExecutionTrace` (seven new column vectors) per
     // lowering vs the engine's reused scratch (`lower_into` keeps the
     // capacity of the previous program), per instruction — the cost
-    // `Simulator::run` pays on a cache miss vs on every subsequent call.
+    // `Simulator::execute(&program)` pays on a cache miss vs on every later call.
     let legacy_ns = measure_ns(budget, || {
         black_box(lsqca::isa::lower(black_box(program)));
     }) / instructions as f64;

@@ -543,7 +543,7 @@ mod tests {
         // cache does, then run both under the same configuration.
         let artifact =
             CompiledWorkload::compile(cfg.descriptor(), &cfg.build(), CompilerConfig::default());
-        let restored = CompiledWorkload::from_json(&artifact.to_json()).unwrap();
+        let restored = CompiledWorkload::from_bytes(&artifact.to_bytes()).unwrap();
         let cached = Workload::from_artifact(restored);
         let config = ExperimentConfig::new(FloorplanKind::PointSam { banks: 1 }, 1)
             .with_hybrid_fraction(0.25);

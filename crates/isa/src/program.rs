@@ -37,6 +37,11 @@ impl Program {
         self.instructions.push(instruction);
     }
 
+    /// Reserves capacity for at least `additional` more instructions.
+    pub fn reserve(&mut self, additional: usize) {
+        self.instructions.reserve(additional);
+    }
+
     /// Appends every instruction from an iterator.
     pub fn extend<I: IntoIterator<Item = Instruction>>(&mut self, instructions: I) {
         self.instructions.extend(instructions);

@@ -9,7 +9,7 @@
 //! lowering pass and stored in a dense struct-of-arrays [`ExecutionTrace`]:
 //!
 //! ```text
-//! Program ──lower()──▶ ExecutionTrace ──Simulator::run_trace──▶ ExecutionStats
+//! Program ──lower()──▶ ExecutionTrace ──Simulator::execute──▶ ExecutionStats
 //!   (enum stream)        (flat SoA columns)                       (identical to
 //!                                                                  the interpreter)
 //! ```
@@ -22,11 +22,12 @@
 //! `SimError::Instruction`).
 //!
 //! Traces are derived data, exactly like the precompiled latency classes:
-//! `CompiledWorkload` embeds the serialized trace in its artifact (see
+//! `CompiledWorkload` stores the trace as its artifact's binary body (see
 //! [`ExecutionTrace::encode`]) so a warm cache load *decodes* the trace
 //! instead of re-lowering — the process-wide [`lowering_count`] stays flat
 //! across warm sweeps, mirroring the zero-compile / zero-simulation
-//! assertions.
+//! assertions. Lowering is lossless, so decoding the body also yields the
+//! program.
 
 use crate::instruction::Instruction;
 use crate::operand::{ClassicalId, MemAddr, RegId};
@@ -34,14 +35,16 @@ use crate::program::Program;
 use std::fmt;
 use std::sync::OnceLock;
 
-/// Revision of the trace lowering (record layout, opcode numbering, encode
-/// format, and the static per-opcode metadata baked into each record).
+/// Revision of the trace lowering (record layout, opcode numbering, the
+/// binary body format of [`ExecutionTrace::encode`], and the static
+/// per-opcode metadata baked into each record).
 ///
 /// Compiled-workload artifacts embed this number next to `ISA_VERSION`, and
 /// the on-disk cache mixes it into its key: bump it whenever lowering changes
-/// what a record contains or means, so stale traces are quarantined and
-/// relowered instead of silently driving the engine with an older contract.
-pub const TRACE_REVISION: u32 = 1;
+/// what a record contains or means, or how it is serialized, so stale traces
+/// are quarantined and relowered instead of silently driving the engine with
+/// an older contract.
+pub const TRACE_REVISION: u32 = 2;
 
 /// The registry counter behind [`lowering_count`]: every [`lower`] /
 /// [`lower_into`] call, including the one inside `CompiledWorkload::compile`.
@@ -270,6 +273,7 @@ impl ExecutionTrace {
     /// Appends the lowered record for one instruction. This is the **only**
     /// place that matches on the instruction variant; everything downstream
     /// reads the precomputed columns.
+    #[inline]
     fn push_instruction(&mut self, instr: &Instruction) {
         use flags::*;
         use ExecKind as E;
@@ -448,14 +452,15 @@ impl ExecutionTrace {
                 0,
             ),
         };
+        // Saturating: a decoded body may name the largest `u32` operand.
         if fl & HAS_MEM0 != 0 {
-            self.mem_bound = self.mem_bound.max(m0 + 1);
+            self.mem_bound = self.mem_bound.max(m0.saturating_add(1));
         }
         if fl & HAS_MEM1 != 0 {
-            self.mem_bound = self.mem_bound.max(m1 + 1);
+            self.mem_bound = self.mem_bound.max(m1.saturating_add(1));
         }
         if fl & (HAS_CIN | HAS_COUT) != 0 {
-            self.classical_bound = self.classical_bound.max(cio + 1);
+            self.classical_bound = self.classical_bound.max(cio.saturating_add(1));
         }
         self.op.push(op);
         self.exec.push(exec);
@@ -505,106 +510,124 @@ impl ExecutionTrace {
         }
     }
 
-    /// Serializes the trace to its compact artifact text: one record per
-    /// instruction (`;`-separated), each record the hex opcode followed by
-    /// its hex operand values (`.`-separated, canonical order: memory
-    /// operands, register operands, classical in/out).
+    /// Serializes the trace to its binary artifact body: one record per
+    /// instruction, the opcode byte followed by its operands as unsigned
+    /// LEB128 varints in canonical order (memory operands, register
+    /// operands, classical in/out). Each opcode has a fixed arity, so records
+    /// need no delimiters.
     ///
     /// Only the opcode and operand slots are stored — every derived column
     /// (execution kind, flags, fixed beats, bounds) is a pure function of
-    /// the opcode and is rebuilt by [`ExecutionTrace::decode`].
-    pub fn encode(&self) -> String {
+    /// the opcode and is rebuilt by [`ExecutionTrace::decode`]. Lowering is
+    /// lossless, so the body is also a complete encoding of the program.
+    pub fn encode(&self) -> Vec<u8> {
         use flags::*;
-        let mut text = String::with_capacity(self.len() * 6);
+        let mut body = Vec::with_capacity(self.len() * 3);
         for index in 0..self.len() {
-            if index > 0 {
-                text.push(';');
-            }
             let fl = self.flags[index];
-            push_hex(&mut text, self.op[index] as u32);
-            if fl & HAS_MEM0 != 0 {
-                text.push('.');
-                push_hex(&mut text, self.mem0[index]);
-            }
-            if fl & HAS_MEM1 != 0 {
-                text.push('.');
-                push_hex(&mut text, self.mem1[index]);
-            }
-            if fl & HAS_REG0 != 0 {
-                text.push('.');
-                push_hex(&mut text, self.reg0[index]);
-            }
-            if fl & HAS_REG1 != 0 {
-                text.push('.');
-                push_hex(&mut text, self.reg1[index]);
-            }
-            if fl & (HAS_CIN | HAS_COUT) != 0 {
-                text.push('.');
-                push_hex(&mut text, self.cio[index]);
+            body.push(self.op[index]);
+            let operands = [
+                (HAS_MEM0, self.mem0[index]),
+                (HAS_MEM1, self.mem1[index]),
+                (HAS_REG0, self.reg0[index]),
+                (HAS_REG1, self.reg1[index]),
+                (HAS_CIN | HAS_COUT, self.cio[index]),
+            ];
+            for (bits, value) in operands {
+                if fl & bits != 0 {
+                    push_varint(&mut body, value);
+                }
             }
         }
-        text
+        body
     }
 
-    /// Decodes [`ExecutionTrace::encode`] output. Does **not** count as a
-    /// lowering: this is the warm cache-load path, and the zero-lowering
-    /// acceptance checks rely on the distinction.
+    /// Decodes an [`ExecutionTrace::encode`] body into the program it
+    /// encodes (named `name`) and that program's trace, in one pass: each
+    /// record is rebuilt into its instruction, which is appended to the
+    /// program and to the trace. Does **not** count as a lowering: this is
+    /// the warm cache-load path, and the zero-lowering acceptance checks rely
+    /// on the distinction.
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceDecodeError`] for unknown opcodes, operand counts
-    /// that do not match the opcode's shape, or malformed hex fields.
-    pub fn decode(text: &str) -> Result<Self, TraceDecodeError> {
+    /// Returns a [`TraceDecodeError`] for unknown opcodes, a body that ends
+    /// inside a record, and overlong or overflowing varints.
+    pub fn decode(
+        body: &[u8],
+        name: impl Into<String>,
+    ) -> Result<(Program, Self), TraceDecodeError> {
+        let mut program = Program::new(name);
         let mut trace = ExecutionTrace::new();
-        if text.is_empty() {
-            return Ok(trace);
-        }
-        for (index, record) in text.split(';').enumerate() {
-            let mut fields = record.split('.');
-            let op = parse_hex(fields.next().unwrap_or(""), index)?;
-            let mut operands = [0u32; 5];
-            let mut n = 0;
-            for field in fields {
-                if n == operands.len() {
-                    return Err(TraceDecodeError {
-                        what: format!("record {index} has too many operand fields"),
-                    });
-                }
-                operands[n] = parse_hex(field, index)?;
-                n += 1;
-            }
-            let op = u8::try_from(op).unwrap_or(u8::MAX);
-            let instr = reconstruct(op, &operands[..n]).ok_or_else(|| TraceDecodeError {
-                what: format!(
-                    "record {index}: opcode {op} with {n} operand field(s) \
-                     matches no instruction shape"
-                ),
+        // Every record takes at least two bytes (opcode and one operand).
+        program.reserve(body.len() / 2);
+        trace.reserve(body.len() / 2);
+        let mut pos = 0;
+        let mut operands = [0u32; 5];
+        while pos < body.len() {
+            let index = trace.len();
+            let op = body[pos];
+            pos += 1;
+            let arity = *ARITY.get(usize::from(op)).ok_or_else(|| TraceDecodeError {
+                what: format!("record {index}: unknown opcode {op}"),
             })?;
+            for slot in &mut operands[..arity] {
+                *slot = read_varint(body, &mut pos).map_err(|what| TraceDecodeError {
+                    what: format!("record {index}: {what}"),
+                })?;
+            }
+            let instr = reconstruct(op, &operands[..arity])
+                .expect("ARITY agrees with reconstruct for every opcode");
             trace.push_instruction(&instr);
+            program.push(instr);
         }
-        Ok(trace)
+        Ok((program, trace))
     }
 }
 
-fn push_hex(text: &mut String, value: u32) {
-    use fmt::Write;
-    let _ = write!(text, "{value:x}");
+/// Operand count of each opcode (indexed by opcode) — the record shapes
+/// [`reconstruct`] accepts.
+const ARITY: [usize; 21] = [
+    2, 2, 1, 1, 1, 1, 1, 2, 2, 3, 3, 1, 1, 1, 1, 1, 2, 2, 3, 3, 2,
+];
+
+/// Appends `value` as an unsigned LEB128 varint.
+fn push_varint(body: &mut Vec<u8>, mut value: u32) {
+    while value >= 0x80 {
+        body.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    body.push(value as u8);
 }
 
-fn parse_hex(field: &str, index: usize) -> Result<u32, TraceDecodeError> {
-    if field.is_empty() {
-        return Err(TraceDecodeError {
-            what: format!("record {index} has an empty field"),
-        });
+/// Reads the unsigned LEB128 varint at `*pos`, advancing past it. Rejects a
+/// body that ends mid-varint, values that overflow `u32`, and non-canonical
+/// (zero-padded) encodings, so every accepted body re-encodes to itself.
+#[inline]
+fn read_varint(body: &[u8], pos: &mut usize) -> Result<u32, &'static str> {
+    let mut value = 0u32;
+    for shift in (0..32).step_by(7) {
+        let byte = *body.get(*pos).ok_or("body ends inside an operand")?;
+        *pos += 1;
+        let chunk = u32::from(byte & 0x7f);
+        if shift == 28 && chunk > 0x0f {
+            return Err("operand overflows 32 bits");
+        }
+        value |= chunk << shift;
+        if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err("operand has a non-canonical encoding");
+            }
+            return Ok(value);
+        }
     }
-    u32::from_str_radix(field, 16).map_err(|_| TraceDecodeError {
-        what: format!("record {index}: `{field}` is not a hex operand"),
-    })
+    Err("operand overflows 32 bits")
 }
 
 /// Rebuilds an [`Instruction`] from an opcode and its operand values in
 /// canonical (encode) order. `None` if the opcode or operand count is
 /// invalid — the decode-side shape validation.
+#[inline]
 fn reconstruct(op: u8, operands: &[u32]) -> Option<Instruction> {
     use Instruction::*;
     let instr = match (op, operands) {
@@ -726,12 +749,19 @@ mod tests {
     #[test]
     fn lowering_counts_and_decoding_does_not() {
         let program = example_program();
-        let before = lowering_count();
-        let trace = lower(&program);
-        assert_eq!(lowering_count(), before + 1);
-        let decoded = ExecutionTrace::decode(&trace.encode()).unwrap();
-        assert_eq!(lowering_count(), before + 1, "decode must not count");
-        assert_eq!(decoded, trace);
+        let body = lower(&program).encode();
+        // The counter is process-wide and tests lowering in parallel advance
+        // it too. A lowering that counted twice (or a decode that counted at
+        // all) would miss on every attempt, so one attempt with the exact
+        // delta shows each counts as it should.
+        let lower_counts_once_and_decode_never = || {
+            let before = lowering_count();
+            let trace = lower(&program);
+            let decoded = ExecutionTrace::decode(&body, "every-variant").unwrap();
+            assert_eq!(decoded, (program.clone(), trace));
+            lowering_count() == before + 1
+        };
+        assert!((0..100).any(|_| lower_counts_once_and_decode_never()));
     }
 
     #[test]
@@ -841,8 +871,11 @@ mod tests {
     fn empty_traces_round_trip() {
         let trace = lower(&Program::new("empty"));
         assert!(trace.is_empty());
-        assert_eq!(trace.encode(), "");
-        assert_eq!(ExecutionTrace::decode("").unwrap(), trace);
+        assert!(trace.encode().is_empty());
+        assert_eq!(
+            ExecutionTrace::decode(&[], "empty").unwrap(),
+            (Program::new("empty"), trace)
+        );
     }
 
     #[test]
@@ -861,20 +894,126 @@ mod tests {
     }
 
     #[test]
-    fn malformed_trace_text_is_rejected() {
+    fn arity_table_matches_the_record_shapes() {
+        for op in 0..=u8::MAX {
+            for n in 0..=5 {
+                let shape_ok = reconstruct(op, &[7; 5][..n]).is_some();
+                assert_eq!(
+                    shape_ok,
+                    ARITY.get(usize::from(op)) == Some(&n),
+                    "op {op}, {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width() {
+        for value in [
+            0,
+            1,
+            0x7f,
+            0x80,
+            0x3fff,
+            0x4000,
+            0x1f_ffff,
+            0x20_0000,
+            u32::MAX,
+        ] {
+            let mut body = Vec::new();
+            push_varint(&mut body, value);
+            assert_eq!(
+                body.len(),
+                (32 - value.leading_zeros()).div_ceil(7).max(1) as usize
+            );
+            let mut pos = 0;
+            assert_eq!(read_varint(&body, &mut pos), Ok(value));
+            assert_eq!(pos, body.len());
+        }
+        let mut program = Program::new("wide");
+        program.push(Instruction::Cx {
+            control: MemAddr(u32::MAX),
+            target: MemAddr(0),
+        });
+        let trace = lower(&program);
+        assert_eq!(
+            ExecutionTrace::decode(&trace.encode(), "wide").unwrap(),
+            (program, trace.clone())
+        );
+        assert_eq!(trace.mem_bound(), u32::MAX, "the bound saturates");
+    }
+
+    #[test]
+    fn records_take_one_opcode_byte_plus_varint_operands() {
+        let mut program = Program::new("sizes");
+        program.push(Instruction::HdM { mem: MemAddr(5) });
+        program.push(Instruction::Ld {
+            mem: MemAddr(300),
+            reg: RegId(1),
+        });
+        assert_eq!(lower(&program).encode(), [14, 5, 0, 0xac, 0x02, 1]);
+    }
+
+    #[test]
+    fn malformed_trace_bodies_are_rejected() {
+        let decode_err = |body: &[u8]| ExecutionTrace::decode(body, "").unwrap_err().to_string();
         // Unknown opcode.
-        let err = ExecutionTrace::decode("7f.0").unwrap_err();
-        assert!(err.to_string().contains("no instruction shape"));
-        // Operand count mismatching the opcode's shape (LD needs two).
-        assert!(ExecutionTrace::decode("0.1").is_err());
-        // Non-hex operand and empty field.
-        assert!(ExecutionTrace::decode("0.xyz.1").is_err());
-        assert!(ExecutionTrace::decode("0..1").is_err());
-        // Too many fields.
-        assert!(ExecutionTrace::decode("0.1.2.3.4.5.6").is_err());
-        // Errors render through the std Error trait.
-        let err = ExecutionTrace::decode("zz").unwrap_err();
+        assert!(decode_err(&[0x7f, 0]).contains("unknown opcode 127"));
+        // A body that ends inside a record (LD needs two operands).
+        assert!(decode_err(&[0, 1]).contains("ends inside an operand"));
+        assert!(decode_err(&[14, 0x80]).contains("ends inside an operand"));
+        // Overlong, overflowing and zero-padded varints.
+        assert!(decode_err(&[14, 0xff, 0xff, 0xff, 0xff, 0x1f]).contains("overflows"));
+        assert!(decode_err(&[14, 0x80, 0x80, 0x80, 0x80, 0x80, 0]).contains("overflows"));
+        assert!(decode_err(&[14, 0x85, 0]).contains("non-canonical"));
+        // The error names the failing record and renders through std Error.
+        let err = ExecutionTrace::decode(&[14, 5, 99], "").unwrap_err();
+        assert!(err.to_string().contains("record 1"));
         assert!(std::error::Error::source(&err).is_none());
         assert!(err.to_string().contains("malformed execution trace"));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Any variant, with operands drawn across every varint width.
+    fn any_instruction() -> impl Strategy<Value = Instruction> {
+        let operand = || prop_oneof![0u32..0x80, 0u32..0x4000, 0u32..u32::MAX];
+        (0u8..21, operand(), operand(), operand()).prop_map(|(op, a, b, c)| {
+            reconstruct(op, &[a, b, c][..ARITY[usize::from(op)]]).unwrap()
+        })
+    }
+
+    proptest! {
+        /// The program derived from an encoded body equals the source
+        /// program, and the decoded trace equals the lowered one.
+        #[test]
+        fn bodies_round_trip_programs_and_traces(
+            instrs in proptest::collection::vec(any_instruction(), 0..200),
+        ) {
+            let mut program = Program::new("prop");
+            program.extend(instrs);
+            let trace = lower(&program);
+            let body = trace.encode();
+            let (decoded_program, decoded) = ExecutionTrace::decode(&body, "prop").unwrap();
+            prop_assert_eq!(decoded_program, program);
+            prop_assert_eq!(&decoded, &trace);
+            prop_assert_eq!(decoded.encode(), body);
+        }
+
+        /// Arbitrary bytes decode to a trace or a typed error, never a
+        /// panic; whatever decodes re-encodes to the same bytes.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            bytes in proptest::collection::vec(0u32..256, 0..64),
+        ) {
+            let body: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            if let Ok((_, trace)) = ExecutionTrace::decode(&body, "") {
+                prop_assert_eq!(trace.encode(), body);
+            }
+        }
     }
 }

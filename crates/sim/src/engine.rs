@@ -109,7 +109,7 @@ pub enum SimError {
     },
     /// The architecture bounds CR registers but provides zero register slots,
     /// so no `CX` (or any register-dependent instruction) could ever be
-    /// scheduled. Detected at [`Simulator::try_new`] so a sweep fails before
+    /// scheduled. Detected at [`SimulatorBuilder::build`] so a sweep fails before
     /// executing a single instruction instead of panicking mid-program.
     NoCrSlots {
         /// Debug rendering of the offending floorplan.
@@ -117,7 +117,7 @@ pub enum SimError {
     },
     /// The run exceeded the configured instruction budget (the sharded-sweep
     /// per-point timeout hook, set via `LSQCA_INSTRUCTION_BUDGET` or
-    /// [`Simulator::set_instruction_budget`]): a deterministic stand-in for a
+    /// [`SimulatorBuilder::instruction_budget`]): a deterministic stand-in for a
     /// wall-clock timeout, so a runaway point aborts the worker at the same
     /// instruction on every attempt and the supervisor can quarantine it.
     InstructionBudget {
@@ -203,11 +203,11 @@ pub struct Simulator {
     classical_ready: Page<Vec<Beats>>,
     bank_ready: Vec<Beats>,
     skip_guard: Option<Beats>,
-    /// Reusable lowering scratch for [`Simulator::run`]: the execution trace
+    /// Reusable lowering scratch for executing a [`Program`]: the execution trace
     /// of one program is lowered into this buffer and its column vectors are
     /// recycled across runs, so a simulator re-running ad-hoc programs
-    /// allocates nothing in steady state. (`run_compiled` never touches it —
-    /// artifacts carry their own pre-lowered trace.)
+    /// allocates nothing in steady state. (Executing a [`CompiledWorkload`]
+    /// never touches it — artifacts carry their own pre-lowered trace.)
     scratch_trace: ExecutionTrace,
     /// The construction inputs, kept so [`Simulator::reset`] can rebuild the
     /// pristine architectural state on demand. Rebuilding costs the same as
@@ -253,47 +253,9 @@ impl Simulator {
         }
     }
 
-    /// Builds a simulator for `num_qubits` data qubits on the given architecture.
-    ///
-    /// `hot_qubits` lists the qubits pinned into the conventional region of a
-    /// hybrid floorplan (see [`MemorySystem::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see [`SimulatorBuilder::build`]
-    /// for the fallible form).
-    #[deprecated(note = "use `Simulator::builder(arch, num_qubits).build()` instead")]
-    pub fn new(
-        arch: &ArchConfig,
-        num_qubits: u32,
-        hot_qubits: &[QubitTag],
-        config: SimConfig,
-    ) -> Self {
-        match Self::construct(arch, num_qubits, hot_qubits, config) {
-            Ok(simulator) => simulator,
-            Err(err) => panic!("invalid simulator configuration: {err}"),
-        }
-    }
-
-    /// Builds a simulator, rejecting invalid configurations with a typed
-    /// [`SimError`] instead of panicking mid-run.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SimulatorBuilder::build`].
-    #[deprecated(note = "use `Simulator::builder(arch, num_qubits).build()` instead")]
-    pub fn try_new(
-        arch: &ArchConfig,
-        num_qubits: u32,
-        hot_qubits: &[QubitTag],
-        config: SimConfig,
-    ) -> Result<Self, SimError> {
-        Self::construct(arch, num_qubits, hot_qubits, config)
-    }
-
-    /// The single validated construction path behind [`SimulatorBuilder`]
-    /// and the deprecated constructors. Every successful pass counts as one
-    /// full warm-up in [`crate::snapshot::warm_count`].
+    /// The single validated construction path behind [`SimulatorBuilder`].
+    /// Every successful pass counts as one full warm-up in
+    /// [`crate::snapshot::warm_count`].
     ///
     /// # Errors
     ///
@@ -354,14 +316,6 @@ impl Simulator {
         })
     }
 
-    /// Overrides the instruction budget (see [`SimError::InstructionBudget`]).
-    /// `None` disables the guard. The budget survives [`Simulator::reset`]:
-    /// it belongs to the process, not to one run.
-    #[deprecated(note = "set the budget via `SimulatorBuilder::instruction_budget` instead")]
-    pub fn set_instruction_budget(&mut self, budget: Option<u64>) {
-        self.instruction_budget = budget;
-    }
-
     /// The magic-state supply for `arch`, shared by construction and reset.
     fn build_magic(arch: &ArchConfig) -> MagicStateSupply {
         MagicStateSupply::new(MsfConfig {
@@ -376,21 +330,9 @@ impl Simulator {
         &self.memory
     }
 
-    /// Attaches a runtime hot-set [`MigrationPolicy`]. The policy is
-    /// (re)initialized with this simulator's qubit count and pinned hot set,
-    /// here and on every [`Simulator::reset`], so consecutive runs each start
-    /// from the compile-time hot set. Pass the boxed policy from
-    /// [`lsqca_arch::PolicyKind::build`] or a custom implementation.
-    #[deprecated(
-        note = "attach the policy via `SimulatorBuilder::migration_policy` (or \
-                `Simulator::fork_with_policy` on a warmed parent) instead"
-    )]
-    pub fn set_migration_policy(&mut self, policy: Box<dyn MigrationPolicy>) {
-        self.attach_policy(policy);
-    }
-
-    /// [`Simulator::set_migration_policy`] without the deprecation: the shared
-    /// attach path behind the builder, `fork_with_policy`, and the delegate.
+    /// Attaches a runtime hot-set [`MigrationPolicy`], (re)initialized with
+    /// this simulator's qubit count and pinned hot set: the shared attach
+    /// path behind the builder and `fork_with_policy`.
     fn attach_policy(&mut self, mut policy: Box<dyn MigrationPolicy>) {
         policy.begin(self.num_qubits, &self.hot_qubits);
         self.migration = Some(policy);
@@ -632,27 +574,6 @@ impl Simulator {
         input.execute_on(self)
     }
 
-    /// Executes `program` and returns the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::execute`].
-    #[deprecated(note = "use `Simulator::execute(&program)` instead")]
-    pub fn run(&mut self, program: &Program) -> Result<SimOutcome, SimError> {
-        self.execute_program(program)
-    }
-
-    /// Executes a [`CompiledWorkload`] artifact through its pre-lowered
-    /// execution trace.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::execute`].
-    #[deprecated(note = "use `Simulator::execute(&workload)` instead")]
-    pub fn run_compiled(&mut self, workload: &CompiledWorkload) -> Result<SimOutcome, SimError> {
-        self.execute_trace(workload.trace())
-    }
-
     /// The [`Program`] engine path: lower into the engine's reusable scratch
     /// trace (the column vectors are recycled across runs), then execute
     /// through the trace engine. Callers holding a [`CompiledWorkload`] skip
@@ -663,25 +584,6 @@ impl Simulator {
         let outcome = self.execute_trace(&trace);
         self.scratch_trace = trace;
         outcome
-    }
-
-    /// Executes `program` against an externally precompiled latency-class
-    /// vector through the reference interpreter.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::execute`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is not parallel to the instruction stream.
-    #[deprecated(note = "use `Simulator::execute(&Classified::new(program, classes))` instead")]
-    pub fn run_classified(
-        &mut self,
-        program: &Program,
-        classes: &[LatencyClass],
-    ) -> Result<SimOutcome, SimError> {
-        self.execute_classified(program, classes)
     }
 
     /// The [`Classified`] engine path — the **reference interpreter**,
@@ -775,7 +677,7 @@ impl Simulator {
             // An optimized CX claims one CR slot for its surgery ancilla.
             let mut cx_slot: Option<usize> = None;
             if matches!(instr, Instruction::Cx { .. }) && !self.unbounded_registers {
-                // Construction ([`Simulator::try_new`]) rejects the bounded-
+                // Construction ([`SimulatorBuilder::build`]) rejects the bounded-
                 // registers-with-zero-slots state, so a slot always exists;
                 // the `else` keeps the error typed instead of panicking if
                 // that invariant is ever broken.
@@ -953,16 +855,6 @@ impl Simulator {
 
         stats.total_beats = makespan;
         Ok(SimOutcome { stats, trace })
-    }
-
-    /// Executes a pre-lowered [`ExecutionTrace`] — the optimized engine path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::execute`].
-    #[deprecated(note = "use `Simulator::execute(&trace)` instead")]
-    pub fn run_trace(&mut self, trace: &ExecutionTrace) -> Result<SimOutcome, SimError> {
-        self.execute_trace(trace)
     }
 
     /// The [`ExecutionTrace`] engine path — the optimized engine.
@@ -1169,7 +1061,7 @@ impl Simulator {
                 cx_slot = Some(slot);
             }
 
-            // Runtime hot-set migration (see `run_classified` for the
+            // Runtime hot-set migration (see `execute_classified` for the
             // policy contract — proposals observed per memory operand,
             // applied before the access, dropped when checked out).
             let mut migration_delay = Beats::ZERO;
@@ -1243,7 +1135,7 @@ impl Simulator {
                     // Runtime optimization (Sec. VI-A): load the cheaper
                     // operand, access the other in memory, store the loaded
                     // one back, as one fused memory call (see
-                    // `run_classified` for the unfused executable spec).
+                    // `execute_classified` for the unfused executable spec).
                     let (load, access, store) =
                         memory.cx_access(QubitTag(m0), QubitTag(m1)).map_err(wrap)?;
                     stats.implicit_loads += 1;
@@ -1504,7 +1396,7 @@ impl SimulatorBuilder {
 /// a positive integer enables the guard, anything else (unset, empty, `0`,
 /// non-numeric) disables it. Read once; every simulator constructed in this
 /// process inherits it (override per instance with
-/// [`Simulator::set_instruction_budget`]).
+/// [`SimulatorBuilder::instruction_budget`]).
 fn env_instruction_budget() -> Option<u64> {
     static BUDGET: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
     *BUDGET.get_or_init(|| {
@@ -1527,7 +1419,7 @@ fn env_instruction_budget() -> Option<u64> {
 /// Panics if the program is malformed with respect to the memory model (for
 /// example, an in-memory operation on a qubit that is still checked out). Use
 /// [`Program::validate`] and the compiler to produce well-formed programs, or
-/// drive [`Simulator::run`] directly to handle the error.
+/// drive [`Simulator::execute`] directly to handle the error.
 pub fn simulate(
     program: &Program,
     num_qubits: u32,
@@ -2266,34 +2158,5 @@ mod tests {
             ) == (1, 3)
         };
         assert!((0..100).any(|_| counts_exactly()));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_points_delegate_to_the_new_api() {
-        let mut program = Program::new("legacy");
-        program.push(Instruction::Ld {
-            mem: MemAddr(3),
-            reg: RegId(0),
-        });
-        program.push(Instruction::HdC { reg: RegId(0) });
-        program.push(Instruction::St {
-            reg: RegId(0),
-            mem: MemAddr(3),
-        });
-        let mut trace = ExecutionTrace::new();
-        lsqca_isa::lower_into(&program, &mut trace);
-        let classes = lsqca_isa::LatencyTable::paper().classify_program(&program);
-
-        let mut modern = sim(&point(1), 8);
-        let expected = modern.execute(&program).unwrap();
-
-        let mut legacy = Simulator::new(&point(1), 8, &[], SimConfig::default());
-        assert_eq!(legacy.run(&program).unwrap(), expected);
-        assert_eq!(legacy.run_trace(&trace).unwrap(), expected);
-        assert_eq!(legacy.run_classified(&program, &classes).unwrap(), expected);
-        let mut fallible = Simulator::try_new(&point(1), 8, &[], SimConfig::default()).unwrap();
-        fallible.set_instruction_budget(Some(1));
-        assert!(fallible.run(&program).is_err());
     }
 }

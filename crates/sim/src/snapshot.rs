@@ -31,9 +31,8 @@ use lsqca_lattice::{Beats, Page};
 
 /// Registry counter of full simulator warm-ups (constructions) in this
 /// process: every successful pass through the private
-/// `Simulator::construct`, whichever public path
-/// ([`SimulatorBuilder::build`](crate::SimulatorBuilder::build) or a
-/// deprecated constructor) invoked it.
+/// `Simulator::construct` behind
+/// [`SimulatorBuilder::build`](crate::SimulatorBuilder::build).
 pub(crate) fn builds_counter() -> &'static lsqca_telemetry::Counter {
     static COUNTER: OnceLock<&'static lsqca_telemetry::Counter> = OnceLock::new();
     COUNTER.get_or_init(|| lsqca_telemetry::counter("sim.warmed"))

@@ -169,7 +169,7 @@ proptest! {
         prop_assert_eq!(&expected_again, &actual_again);
     }
 
-    /// A trace that round-trips through its on-disk text executes
+    /// A trace that round-trips through its binary artifact body executes
     /// identically to the freshly lowered one — the artifact path
     /// (`ExecutionTrace::decode` on cache load) cannot drift from the
     /// in-memory lowering.
@@ -179,7 +179,9 @@ proptest! {
         arch in any_arch(),
     ) {
         let lowered = lsqca_isa::lower(&program);
-        let decoded = ExecutionTrace::decode(&lowered.encode()).unwrap();
+        let (decoded_program, decoded) =
+            ExecutionTrace::decode(&lowered.encode(), program.name()).unwrap();
+        prop_assert_eq!(&decoded_program, &program);
         prop_assert_eq!(&lowered, &decoded);
         let mut a = Simulator::builder(&arch, QUBITS).build().unwrap();
         let mut b = Simulator::builder(&arch, QUBITS).build().unwrap();

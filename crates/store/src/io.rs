@@ -21,8 +21,14 @@ use std::sync::Mutex;
 /// The trait is object-safe and implementations must be shareable across
 /// threads; sweep drivers hit the store from `par_map` workers.
 pub trait StoreIo: fmt::Debug + Send + Sync {
-    /// Read the full contents of `path` as UTF-8.
-    fn read(&self, path: &Path) -> io::Result<String>;
+    /// Read the full contents of `path`.
+    fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// Read the full contents of `path` as UTF-8: [`StoreIo::read_bytes`]
+    /// plus validation, failing with `InvalidData` on anything else.
+    fn read(&self, path: &Path) -> io::Result<String> {
+        String::from_utf8(self.read_bytes(path)?)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
     /// Create or truncate `path` and write `bytes` to it.
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Append `bytes` to `path`, creating it if absent.
@@ -46,8 +52,8 @@ pub trait StoreIo: fmt::Debug + Send + Sync {
 pub struct DiskIo;
 
 impl StoreIo for DiskIo {
-    fn read(&self, path: &Path) -> io::Result<String> {
-        fs::read_to_string(path)
+    fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
+        fs::read(path)
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -285,15 +291,17 @@ fn not_found(path: &Path) -> io::Error {
 }
 
 impl StoreIo for FaultyIo {
-    fn read(&self, path: &Path) -> io::Result<String> {
+    fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
         match self.admit(false)? {
             None | Some(Injected::RenameFail) => {}
             Some(Injected::ShortWrite) | Some(Injected::Eio) => return Err(eio()),
         }
         let state = self.state.lock().unwrap();
-        let bytes = state.files.get(path).ok_or_else(|| not_found(path))?;
-        String::from_utf8(bytes.clone())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "faulty io: not UTF-8"))
+        state
+            .files
+            .get(path)
+            .cloned()
+            .ok_or_else(|| not_found(path))
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -539,6 +547,28 @@ mod tests {
     }
 
     #[test]
+    fn text_reads_wrap_byte_reads() {
+        let io = FaultyIo::reliable();
+        io.write(Path::new("/s/bin"), &[0xff, b'\n', 0]).unwrap();
+        assert_eq!(
+            io.read_bytes(Path::new("/s/bin")).unwrap(),
+            [0xff, b'\n', 0]
+        );
+        let err = io.read(Path::new("/s/bin")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Byte reads take part in the fault schedule like every operation.
+        let faulty = FaultyIo::seeded(3, 1000);
+        faulty.tamper(Path::new("/s/bin"), b"x");
+        let injected = (0..16)
+            .filter_map(|_| faulty.read_bytes(Path::new("/s/bin")).err())
+            .collect::<Vec<_>>();
+        assert!(!injected.is_empty());
+        assert!(injected
+            .iter()
+            .all(|e| e.to_string().contains("injected EIO")));
+    }
+
+    #[test]
     fn disk_io_round_trips_through_a_real_directory() {
         let dir = std::env::temp_dir().join(format!("lsqca-store-io-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -548,6 +578,7 @@ mod tests {
         assert_eq!(io.read(&path).unwrap(), "{\"k\":1}");
         io.append(&path, b"\n").unwrap();
         assert_eq!(io.read(&path).unwrap(), "{\"k\":1}\n");
+        assert_eq!(io.read_bytes(&path).unwrap(), b"{\"k\":1}\n");
         assert_eq!(io.list_dir(&dir).unwrap(), vec![path.clone()]);
         io.remove_file(&path).unwrap();
         let _ = fs::remove_dir_all(&dir);

@@ -2,9 +2,8 @@
 //!
 //! Repeated sweep invocations (`experiments --full` run twice, CI reruns,
 //! iterating on simulator changes) used to pay full workload compilation every
-//! time. A [`WorkloadCache`] persists [`CompiledWorkload`] artifacts as JSON
-//! under a cache directory so the second invocation performs **zero**
-//! compilation:
+//! time. A [`WorkloadCache`] persists [`CompiledWorkload`] artifacts under a
+//! cache directory so the second invocation performs **zero** compilation:
 //!
 //! * **Location** — `$LSQCA_CACHE_DIR` if set; otherwise `lsqca-cache/` inside
 //!   the build's `target/` directory (discovered from the running executable's
@@ -17,6 +16,11 @@
 //!   the compiler configuration, [`ISA_VERSION`], and [`TRACE_REVISION`].
 //!   Changing any of them changes the file name, so stale entries are simply
 //!   never found again.
+//! * **File** — `<slug>-<key hash>.artifact`: a one-line compact JSON header
+//!   followed by the binary execution-trace body (layout and payload hash in
+//!   [`crate::compiled`]). Loading reads the bytes once, verifies the
+//!   payload hash over the header fields and the body, and derives the
+//!   program and latency classes from the decoded trace.
 //!
 //! # When to bump what
 //!
@@ -35,14 +39,16 @@
 //!   [`ISA_VERSION`] in `lsqca-isa`. Every cached artifact of every
 //!   generator is invalidated, because all of them embed programs in the old
 //!   dialect.
-//! * **The trace lowering changed** (new [`ExecKind`](lsqca_isa::ExecKind),
-//!   different flag bits or fixed-beat values, a changed trace text format):
-//!   bump [`TRACE_REVISION`] in `lsqca-isa`. Artifacts embed the pre-lowered
-//!   execution trace next to the program text, so every cached artifact is
-//!   invalidated and re-lowered — the program text itself is unchanged, which
-//!   is exactly why `ISA_VERSION` alone cannot catch this case. An artifact
-//!   found under an old key path anyway (hand-copied file) is quarantined by
-//!   [`ArtifactError::TraceRevisionMismatch`] at load time and recompiled.
+//! * **The trace lowering or its binary body format changed** (new
+//!   [`ExecKind`](lsqca_isa::ExecKind), different flag bits or fixed-beat
+//!   values, a changed opcode numbering or operand encoding): bump
+//!   [`TRACE_REVISION`] in `lsqca-isa`. The artifact body *is* the
+//!   serialized trace, so every cached artifact is invalidated and
+//!   re-lowered — the instruction set itself is unchanged, which is exactly
+//!   why `ISA_VERSION` alone cannot catch this case. An artifact found under
+//!   an old key path anyway (hand-copied file) is rejected at load time —
+//!   [`ArtifactError::TraceRevisionMismatch`] for a current-layout header, a
+//!   malformed header for a revision-1 JSON document — and recompiled.
 //! * **The simulator's result semantics changed** (same artifact, different
 //!   numbers): that is `lsqca_sim::RESULTS_REVISION`'s job, keyed by the
 //!   *result store*, not this cache. The trace engine reproduces the
@@ -79,6 +85,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// File extension of the artifacts [`WorkloadCache::path_for`] names.
+const ARTIFACT_EXTENSION: &str = "artifact";
+
 /// How a [`WorkloadCache::load_or_compile`] request was satisfied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheEvent {
@@ -97,10 +106,8 @@ pub enum InvalidationReason {
     /// the whole cache instead of invalidating per entry, so this variant is
     /// kept only for callers matching on historical events.)
     Unreadable(String),
-    /// The file is not valid JSON (e.g. truncated mid-write).
-    NotJson(String),
-    /// The document failed artifact validation (schema, ISA version, payload
-    /// hash, malformed field).
+    /// The file failed artifact validation (header, schema, ISA version,
+    /// body length, payload hash, malformed body).
     Artifact(ArtifactError),
     /// The artifact was compiled for a different cache key (hash collision or
     /// a renamed/copied file).
@@ -114,7 +121,6 @@ impl fmt::Display for InvalidationReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InvalidationReason::Unreadable(e) => write!(f, "unreadable: {e}"),
-            InvalidationReason::NotJson(e) => write!(f, "not valid JSON: {e}"),
             InvalidationReason::Artifact(e) => write!(f, "{e}"),
             InvalidationReason::KeyMismatch { stored } => {
                 write!(f, "artifact belongs to key `{stored}`")
@@ -232,7 +238,7 @@ impl WorkloadCache {
         let key = Self::key(descriptor, config);
         self.dir.as_ref().map(|d| {
             d.join(format!(
-                "{}-{:016x}.json",
+                "{}-{:016x}.{ARTIFACT_EXTENSION}",
                 slug(descriptor),
                 fnv1a64(key.as_bytes())
             ))
@@ -296,8 +302,9 @@ impl WorkloadCache {
         (artifact, event)
     }
 
-    /// Deletes every artifact in the cache directory. A missing directory is
-    /// not an error.
+    /// Deletes every artifact in the cache directory, including `.json`
+    /// artifacts left by trace revision 1. A missing directory is not an
+    /// error.
     ///
     /// # Errors
     ///
@@ -311,7 +318,10 @@ impl WorkloadCache {
             Err(e) => Err(e),
             Ok(entries) => {
                 for path in entries {
-                    if path.extension().is_some_and(|ext| ext == "json") {
+                    if path
+                        .extension()
+                        .is_some_and(|ext| ext == ARTIFACT_EXTENSION || ext == "json")
+                    {
                         self.io.remove_file(&path)?;
                     }
                 }
@@ -345,14 +355,12 @@ enum Miss {
 }
 
 fn load_artifact(io: &dyn StoreIo, path: &Path, key: &str) -> Result<CompiledWorkload, Miss> {
-    let text = match io.read(path) {
-        Ok(text) => text,
+    let bytes = match io.read_bytes(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == ErrorKind::NotFound => return Err(Miss::Absent),
         Err(e) => return Err(Miss::Io(e)),
     };
-    let doc = lsqca_json::parse(&text)
-        .map_err(|e| Miss::Invalid(InvalidationReason::NotJson(e.to_string())))?;
-    let artifact = CompiledWorkload::from_json(&doc)
+    let artifact = CompiledWorkload::from_bytes(&bytes)
         .map_err(|e| Miss::Invalid(InvalidationReason::Artifact(e)))?;
     if artifact.descriptor() != key {
         return Err(Miss::Invalid(InvalidationReason::KeyMismatch {
@@ -363,7 +371,7 @@ fn load_artifact(io: &dyn StoreIo, path: &Path, key: &str) -> Result<CompiledWor
 }
 
 fn store_artifact(io: &dyn StoreIo, path: &Path, artifact: &CompiledWorkload) -> io::Result<()> {
-    atomic_write(io, path, artifact.to_json().pretty().as_bytes())
+    atomic_write(io, path, &artifact.to_bytes())
 }
 
 /// The default cache location: `lsqca-cache/` inside the `target/` directory
@@ -398,6 +406,17 @@ mod tests {
     fn ghz() -> (String, impl Fn() -> Circuit) {
         let cfg = Benchmark::Ghz.config(InstanceSize::Reduced);
         (cfg.descriptor(), move || cfg.build())
+    }
+
+    /// Replaces `from` with `to` in the header line of the artifact at
+    /// `path`, leaving the binary body as it is.
+    fn rewrite_header(path: &Path, from: &str, to: &str) {
+        let bytes = fs::read(path).unwrap();
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&bytes[..newline]).unwrap();
+        assert!(header.contains(from), "{from} not in {header}");
+        let header = header.replace(from, to);
+        fs::write(path, [header.as_bytes(), &bytes[newline..]].concat()).unwrap();
     }
 
     #[test]
@@ -477,14 +496,17 @@ mod tests {
         let (original, _) = cache.load_or_compile(&desc, config, &build);
 
         let path = cache.path_for(&desc, &config).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &text[..text.len() / 2]).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        // A torn tail: the header survives, the body comes up short.
+        fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
 
         let (recompiled, event) = cache.load_or_compile(&desc, config, &build);
         assert!(
             matches!(
                 event,
-                CacheEvent::Invalidated(InvalidationReason::NotJson(_))
+                CacheEvent::Invalidated(InvalidationReason::Artifact(
+                    ArtifactError::BodyLength { .. }
+                ))
             ),
             "unexpected event {event:?}"
         );
@@ -505,15 +527,11 @@ mod tests {
         cache.load_or_compile(&desc, config, &build);
 
         let path = cache.path_for(&desc, &config).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        fs::write(
+        rewrite_header(
             &path,
-            text.replace(
-                &format!("\"isa_version\": {ISA_VERSION}"),
-                "\"isa_version\": 999",
-            ),
-        )
-        .unwrap();
+            &format!("\"isa_version\":{ISA_VERSION}"),
+            "\"isa_version\":999",
+        );
 
         let (_, event) = cache.load_or_compile(&desc, config, &build);
         assert!(
@@ -538,15 +556,11 @@ mod tests {
         // at this key's path (the key normally shifts with the revision, so
         // this is the hand-copied-file case).
         let path = cache.path_for(&desc, &config).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        fs::write(
+        rewrite_header(
             &path,
-            text.replace(
-                &format!("\"trace_revision\": {TRACE_REVISION}"),
-                "\"trace_revision\": 777",
-            ),
-        )
-        .unwrap();
+            &format!("\"trace_revision\":{TRACE_REVISION}"),
+            "\"trace_revision\":777",
+        );
 
         let (w, event) = cache.load_or_compile(&desc, config, &build);
         assert!(
@@ -574,11 +588,14 @@ mod tests {
         cache.load_or_compile(&desc, config, &build);
 
         let path = cache.path_for(&desc, &config).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        // Swap one instruction for another: valid JSON, valid program text,
-        // wrong content — only the payload hash catches it.
-        assert!(text.contains("HD.M"));
-        fs::write(&path, text.replacen("HD.M", "PH.M", 1)).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        // Swap one opcode for another of the same arity (HD.M → PH.M): a
+        // valid header and a decodable body with the wrong content — only
+        // the payload hash catches it.
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let hd_m = bytes[newline..].iter().position(|&b| b == 14).unwrap();
+        bytes[newline + hd_m] = 15;
+        fs::write(&path, bytes).unwrap();
 
         let (_, event) = cache.load_or_compile(&desc, config, &build);
         assert!(
@@ -589,6 +606,42 @@ mod tests {
                 ))
             ),
             "unexpected event {event:?}"
+        );
+    }
+
+    #[test]
+    fn revision_one_json_artifact_at_the_key_path_is_recompiled() {
+        // A `.json` document of trace revision 1 copied over the current
+        // key's file (the key moved with the revision, so only a hand-copied
+        // file lands here): its pretty-printed first line is no header.
+        let cache = temp_cache("revision-one");
+        let (desc, build) = ghz();
+        let config = CompilerConfig::default();
+        let path = cache.path_for(&desc, &config).unwrap();
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(
+            &path,
+            "{\n  \"schema\": \"lsqca-workload-artifact-v1\",\n  \"trace_revision\": 1\n}",
+        )
+        .unwrap();
+
+        let (w, event) = cache.load_or_compile(&desc, config, &build);
+        assert!(
+            matches!(
+                &event,
+                CacheEvent::Invalidated(InvalidationReason::Artifact(
+                    ArtifactError::Malformed { .. }
+                ))
+            ),
+            "unexpected event {event:?}"
+        );
+        assert_eq!(
+            w,
+            CompiledWorkload::compile(WorkloadCache::key(&desc, &config), &build(), config)
+        );
+        assert_eq!(
+            cache.load_or_compile(&desc, config, &build).1,
+            CacheEvent::Hit
         );
     }
 
@@ -635,9 +688,15 @@ mod tests {
         let (desc, build) = ghz();
         let config = CompilerConfig::default();
         cache.load_or_compile(&desc, config, &build);
-        assert!(cache.path_for(&desc, &config).unwrap().exists());
+        let path = cache.path_for(&desc, &config).unwrap();
+        assert!(path.exists());
+        assert_eq!(path.extension().unwrap(), ARTIFACT_EXTENSION);
+        // A trace-revision-1 artifact left in the same directory.
+        let old = path.with_extension("json");
+        fs::write(&old, "{}").unwrap();
         cache.clear().unwrap();
-        assert!(!cache.path_for(&desc, &config).unwrap().exists());
+        assert!(!path.exists());
+        assert!(!old.exists());
         // Clearing a never-created cache directory is fine too.
         temp_cache("clear-missing").clear().unwrap();
     }

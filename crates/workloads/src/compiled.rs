@@ -8,28 +8,46 @@
 //!
 //! * the lowered LSQCA instruction stream,
 //! * the precompiled per-instruction [`LatencyClass`] vector (immutable per
-//!   program, previously re-derived by every `Simulator::run`),
+//!   program, previously re-derived by every simulator run),
 //! * the operand tables — memory footprint and the circuit's register map,
 //!   which role-based hybrid placement (Fig. 15) needs,
 //! * qubit-count metadata (`num_qubits`, `t_gates`).
 //!
-//! Artifacts serialize to a JSON document (`lsqca-json`) whose integrity is
-//! protected by an FNV-1a content hash, which is what the on-disk cache of
-//! [`crate::cache`] stores; see that module for the keying and invalidation
-//! rules.
+//! # Artifact layout
+//!
+//! [`CompiledWorkload::to_bytes`] stores the instruction stream once, as the
+//! binary body of the execution trace, which is what the on-disk cache of
+//! [`crate::cache`] keeps (see that module for the keying and invalidation
+//! rules):
+//!
+//! ```text
+//! {"schema":"lsqca-workload-artifact-v2",…,"body_bytes":N,"payload_hash":"…"}\n
+//! <N bytes: ExecutionTrace::encode — opcode byte + LEB128 operands per record>
+//! ```
+//!
+//! The header is one line of compact JSON: schema, `isa_version`,
+//! `trace_revision`, descriptor, program name, `num_qubits`, `t_gates`,
+//! `memory_footprint`, registers, `body_bytes` and `payload_hash`. Loading
+//! decodes the body into the program and its trace in one pass, without
+//! lowering ([`ExecutionTrace::decode`]), and re-classifies the program with
+//! [`LatencyTable::paper`], so neither is stored a second time.
+//!
+//! The payload hash is FNV-1a over the header's identity fields (descriptor,
+//! name, qubit and T counts, footprint, registers) followed by the body
+//! bytes. It is computed once at compile time, verified in one pass on load
+//! before the body is decoded, and carried as a plain field: result-store
+//! keys embed it.
 
 use lsqca_circuit::{Circuit, RegisterMap, RegisterRole};
 use lsqca_compiler::{compile, CompilerConfig};
-use lsqca_isa::asm::{format_program, parse_program};
 use lsqca_isa::{ExecutionTrace, LatencyClass, LatencyTable, Program, ISA_VERSION, TRACE_REVISION};
 use lsqca_json::{Json, ToJson};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
-/// Schema identifier embedded in every serialized artifact.
-pub const ARTIFACT_SCHEMA: &str = "lsqca-workload-artifact-v1";
+/// Schema identifier embedded in every serialized artifact's header.
+pub const ARTIFACT_SCHEMA: &str = "lsqca-workload-artifact-v2";
 
 /// Number of circuit compilations performed by this process (every
 /// [`CompiledWorkload::compile`] call, cached or not). The warm-cache
@@ -44,8 +62,8 @@ pub fn compile_count() -> u64 {
 /// A workload compiled down to everything the simulator consumes, produced
 /// once per `(generator config, compiler config)` pair.
 ///
-/// Every field is private and fixed at construction, so the memoized payload
-/// hash can never go stale.
+/// Every field is private and fixed at construction, so the payload hash can
+/// never go stale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledWorkload {
     program: Program,
@@ -56,24 +74,7 @@ pub struct CompiledWorkload {
     trace: ExecutionTrace,
     memory_footprint: u32,
     registers: RegisterMap,
-    payload_hash: HashMemo,
-}
-
-/// The memo slot of [`CompiledWorkload::payload_hash`]. Equality and `Debug`
-/// ignore whether it is filled, so an artifact equals its cache-loaded copy.
-#[derive(Clone, Default)]
-struct HashMemo(OnceLock<u64>);
-
-impl PartialEq for HashMemo {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl fmt::Debug for HashMemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("..")
-    }
+    payload_hash: u64,
 }
 
 impl CompiledWorkload {
@@ -96,19 +97,27 @@ impl CompiledWorkload {
             .map(|m| m.index() + 1)
             .max()
             .unwrap_or(0);
+        let descriptor = descriptor.into();
+        let registers = circuit.registers().clone();
+        let payload_hash = payload_hash_of(
+            &descriptor,
+            compiled.program.name(),
+            compiled.num_qubits,
+            compiled.t_gates,
+            memory_footprint,
+            &registers,
+            &trace.encode(),
+        );
         CompiledWorkload {
-            descriptor: descriptor.into(),
+            descriptor,
             classes,
             trace,
             memory_footprint,
-            registers: circuit.registers().clone(),
+            registers,
             num_qubits: compiled.num_qubits,
             t_gates: compiled.t_gates,
             program: compiled.program,
-            // Filled by the first `to_json` (the cache publishes every
-            // compiled artifact) or `payload_hash` call: hashing here would
-            // render the texts a second time on the compile→publish path.
-            payload_hash: HashMemo::default(),
+            payload_hash,
         }
     }
 
@@ -140,7 +149,7 @@ impl CompiledWorkload {
 
     /// The pre-lowered execution trace (parallel to the instruction stream).
     /// Lowered exactly once at [`CompiledWorkload::compile`] time — a cached
-    /// artifact carries the serialized trace and decodes it on load, so warm
+    /// artifact carries the trace as its body and decodes it on load, so warm
     /// sweeps perform zero lowerings (`lsqca_isa::lowering_count` stays flat).
     pub fn trace(&self) -> &ExecutionTrace {
         &self.trace
@@ -158,73 +167,17 @@ impl CompiledWorkload {
         &self.registers
     }
 
-    /// The FNV-1a content hash covering every field that influences
-    /// simulation results. The hash is defined over the *serialized text* of
-    /// the program, class vector, and execution trace (passed together as
-    /// `texts`, in that order), so loading verifies the stored strings
-    /// directly without re-rendering a multi-megabyte instruction stream.
-    fn payload_hash_of(
-        descriptor: &str,
-        num_qubits: u32,
-        t_gates: u64,
-        memory_footprint: u32,
-        registers: &RegisterMap,
-        texts: [&str; 3],
-    ) -> u64 {
-        let mut hash = Fnv1a::new();
-        hash.update(descriptor.as_bytes());
-        hash.update(b"\n");
-        hash.update(
-            format!("qubits={num_qubits} t_gates={t_gates} footprint={memory_footprint}\n")
-                .as_bytes(),
-        );
-        for r in registers.registers() {
-            hash.update(format!("reg {} {} {}\n", r.name, r.role, r.len()).as_bytes());
-        }
-        for text in texts {
-            hash.update(text.as_bytes());
-        }
-        hash.finish()
-    }
-
-    /// The FNV-1a content hash of the artifact payload, derived once per
-    /// artifact: [`CompiledWorkload::from_json`] keeps the hash it verified,
-    /// [`CompiledWorkload::to_json`] keeps the hash it wrote, and only an
-    /// artifact that was never serialized renders its texts to hash them, on
-    /// the first call.
+    /// The FNV-1a content hash of the artifact payload (see the module docs),
+    /// computed at compile time and verified on load.
     pub fn payload_hash(&self) -> u64 {
-        *self.payload_hash.0.get_or_init(|| {
-            self.hash_texts([
-                &format_program(&self.program),
-                &encode_classes(&self.classes),
-                &self.trace.encode(),
-            ])
-        })
+        self.payload_hash
     }
 
-    /// [`CompiledWorkload::payload_hash_of`] over this artifact's header and
-    /// the given rendered texts.
-    fn hash_texts(&self, texts: [&str; 3]) -> u64 {
-        Self::payload_hash_of(
-            &self.descriptor,
-            self.num_qubits,
-            self.t_gates,
-            self.memory_footprint,
-            &self.registers,
-            texts,
-        )
-    }
-
-    /// Serializes the artifact to its on-disk JSON document.
-    pub fn to_json(&self) -> Json {
-        let program_text = format_program(&self.program);
-        let classes_text = encode_classes(&self.classes);
-        let trace_text = self.trace.encode();
-        let payload_hash = *self
-            .payload_hash
-            .0
-            .get_or_init(|| self.hash_texts([&program_text, &classes_text, &trace_text]));
-        Json::obj([
+    /// Serializes the artifact to its on-disk form: a compact JSON header
+    /// line, then the binary trace body.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let body = self.trace.encode();
+        let header = Json::obj([
             ("schema", ARTIFACT_SCHEMA.to_json()),
             ("isa_version", ISA_VERSION.to_json()),
             ("trace_revision", TRACE_REVISION.to_json()),
@@ -243,21 +196,43 @@ impl CompiledWorkload {
                     ])
                 })),
             ),
-            ("program", program_text.to_json()),
-            ("classes", classes_text.to_json()),
-            ("trace", trace_text.to_json()),
-            ("payload_hash", format!("{payload_hash:016x}").to_json()),
+            ("body_bytes", (body.len() as u64).to_json()),
+            (
+                "payload_hash",
+                format!("{:016x}", self.payload_hash).to_json(),
+            ),
         ])
+        .compact();
+        let mut bytes = Vec::with_capacity(header.len() + 1 + body.len());
+        bytes.extend_from_slice(header.as_bytes());
+        bytes.push(b'\n');
+        bytes.extend_from_slice(&body);
+        bytes
     }
 
-    /// Deserializes an artifact document, verifying schema, ISA version, and
-    /// the payload hash.
+    /// Deserializes an artifact, verifying schema, ISA version, trace
+    /// revision, body length and the payload hash before decoding the body.
     ///
     /// # Errors
     ///
     /// Returns an [`ArtifactError`] naming the first check that failed; the
     /// cache treats every variant as "recompile".
-    pub fn from_json(doc: &Json) -> Result<Self, ArtifactError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
+        let newline =
+            bytes
+                .iter()
+                .position(|&b| b == b'\n')
+                .ok_or_else(|| ArtifactError::Malformed {
+                    what: "no header line".to_string(),
+                })?;
+        let (header, body) = (&bytes[..newline], &bytes[newline + 1..]);
+        let doc = std::str::from_utf8(header)
+            .map_err(|e| e.to_string())
+            .and_then(|text| lsqca_json::parse(text).map_err(|e| e.to_string()))
+            .map_err(|e| ArtifactError::Malformed {
+                what: format!("header: {e}"),
+            })?;
+
         let field = |key: &'static str| {
             doc.get(key)
                 .ok_or(ArtifactError::MissingField { field: key })
@@ -271,6 +246,11 @@ impl CompiledWorkload {
         };
         let u64_field = |key: &'static str| {
             field(key).and_then(|v| v.as_u64().ok_or(ArtifactError::MissingField { field: key }))
+        };
+        let u32_field = |key: &'static str| {
+            u64_field(key).and_then(|v| {
+                u32::try_from(v).map_err(|_| ArtifactError::MissingField { field: key })
+            })
         };
 
         let schema = str_field("schema")?;
@@ -294,9 +274,9 @@ impl CompiledWorkload {
 
         let descriptor = str_field("descriptor")?;
         let name = str_field("name")?;
-        let num_qubits = u64_field("num_qubits")? as u32;
+        let num_qubits = u32_field("num_qubits")?;
         let t_gates = u64_field("t_gates")?;
-        let memory_footprint = u64_field("memory_footprint")? as u32;
+        let memory_footprint = u32_field("memory_footprint")?;
 
         let mut registers = RegisterMap::new();
         for entry in field("registers")?
@@ -318,25 +298,31 @@ impl CompiledWorkload {
             let len = entry
                 .get("len")
                 .and_then(Json::as_u64)
+                .and_then(|len| u32::try_from(len).ok())
                 .ok_or(ArtifactError::MissingField { field: "registers" })?;
-            registers.add(reg_name, role, len as u32);
+            registers.add(reg_name, role, len);
         }
 
-        let program_text = str_field("program")?;
-        let classes_text = str_field("classes")?;
-        let trace_text = str_field("trace")?;
+        let body_bytes = u64_field("body_bytes")?;
+        if body_bytes != body.len() as u64 {
+            return Err(ArtifactError::BodyLength {
+                declared: body_bytes,
+                actual: body.len() as u64,
+            });
+        }
 
-        // Verify the payload hash over the stored text *before* decoding the
-        // (potentially multi-megabyte) instruction stream: corruption is
-        // rejected at memcmp cost, and a verified artifact is decoded once.
+        // Verify the payload hash over the stored bytes *before* decoding
+        // the body: corruption is rejected at hashing cost, and a verified
+        // artifact is decoded once.
         let stored_hash = str_field("payload_hash")?;
-        let payload_hash = Self::payload_hash_of(
+        let payload_hash = payload_hash_of(
             &descriptor,
+            &name,
             num_qubits,
             t_gates,
             memory_footprint,
             &registers,
-            [&program_text, &classes_text, &trace_text],
+            body,
         );
         let actual = format!("{payload_hash:016x}");
         if stored_hash != actual {
@@ -346,34 +332,13 @@ impl CompiledWorkload {
             });
         }
 
-        let program =
-            parse_program(&name, &program_text).map_err(|e| ArtifactError::Malformed {
-                what: format!("program text: {e}"),
-            })?;
-        let classes = decode_classes(&classes_text)?;
-        if classes.len() != program.len() {
-            return Err(ArtifactError::Malformed {
-                what: format!(
-                    "class vector length {} does not match the {}-instruction program",
-                    classes.len(),
-                    program.len()
-                ),
-            });
-        }
         // Decoding (not re-lowering) keeps warm loads off the lowering
         // counter: a cache hit must leave `lsqca_isa::lowering_count` flat.
-        let trace = ExecutionTrace::decode(&trace_text).map_err(|e| ArtifactError::Malformed {
-            what: e.to_string(),
-        })?;
-        if trace.len() != program.len() {
-            return Err(ArtifactError::Malformed {
-                what: format!(
-                    "execution trace length {} does not match the {}-instruction program (trace revision {TRACE_REVISION})",
-                    trace.len(),
-                    program.len()
-                ),
-            });
-        }
+        let (program, trace) =
+            ExecutionTrace::decode(body, name).map_err(|e| ArtifactError::Malformed {
+                what: e.to_string(),
+            })?;
+        let classes = LatencyTable::paper().classify_program(&program);
 
         Ok(CompiledWorkload {
             descriptor,
@@ -384,29 +349,35 @@ impl CompiledWorkload {
             num_qubits,
             t_gates,
             program,
-            payload_hash: HashMemo(OnceLock::from(payload_hash)),
+            payload_hash,
         })
     }
 }
 
-/// One ASCII digit per instruction (the `repr(u8)` discriminant).
-fn encode_classes(classes: &[LatencyClass]) -> String {
-    classes
-        .iter()
-        .map(|c| char::from(b'0' + c.as_u8()))
-        .collect()
-}
-
-fn decode_classes(text: &str) -> Result<Vec<LatencyClass>, ArtifactError> {
-    text.bytes()
-        .map(|b| {
-            b.checked_sub(b'0')
-                .and_then(LatencyClass::from_u8)
-                .ok_or_else(|| ArtifactError::Malformed {
-                    what: format!("invalid latency-class byte `{}`", b as char),
-                })
-        })
-        .collect()
+/// The payload hash of the module docs: FNV-1a over the identity fields, one
+/// line each, then the binary trace body.
+fn payload_hash_of(
+    descriptor: &str,
+    name: &str,
+    num_qubits: u32,
+    t_gates: u64,
+    memory_footprint: u32,
+    registers: &RegisterMap,
+    body: &[u8],
+) -> u64 {
+    let mut hash = Fnv1a::new();
+    hash.update(
+        format!(
+            "{descriptor}\n{name}\nqubits={num_qubits} t_gates={t_gates} \
+             footprint={memory_footprint}\n"
+        )
+        .as_bytes(),
+    );
+    for r in registers.registers() {
+        hash.update(format!("reg {} {} {}\n", r.name, r.role, r.len()).as_bytes());
+    }
+    hash.update(body);
+    hash.finish()
 }
 
 // The FNV-1a hasher moved to `lsqca-store` so the result store and this cache
@@ -416,19 +387,19 @@ pub use lsqca_store::{fnv1a64, Fnv1a};
 /// Why a serialized artifact was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArtifactError {
-    /// The document lacks a required field (or it has the wrong type).
+    /// The header lacks a required field (or it has the wrong type).
     MissingField {
         /// Name of the missing field.
         field: &'static str,
     },
-    /// The document carries a different schema identifier.
+    /// The header carries a different schema identifier.
     SchemaMismatch {
-        /// The schema string found in the document.
+        /// The schema string found in the header.
         found: String,
     },
     /// The artifact was compiled against a different ISA version.
     IsaVersionMismatch {
-        /// The version recorded in the document.
+        /// The version recorded in the header.
         found: u64,
         /// The version this build implements.
         expected: u32,
@@ -436,21 +407,29 @@ pub enum ArtifactError {
     /// The artifact's execution trace was lowered by a different trace
     /// revision; the cache quarantines the artifact and re-lowers.
     TraceRevisionMismatch {
-        /// The trace revision recorded in the document.
+        /// The trace revision recorded in the header.
         found: u64,
         /// The trace revision this build lowers.
         expected: u32,
     },
-    /// A field failed to decode (program text, class vector, register role).
+    /// The body is not as long as the header declares (a truncated or
+    /// extended file).
+    BodyLength {
+        /// The `body_bytes` the header declares.
+        declared: u64,
+        /// The number of bytes after the header line.
+        actual: u64,
+    },
+    /// Something failed to decode (header line, register role, trace body).
     Malformed {
         /// Description of the malformed content.
         what: String,
     },
     /// The recomputed content hash disagrees with the stored one.
     PayloadHashMismatch {
-        /// Hash recorded in the document.
+        /// Hash recorded in the header.
         stored: String,
-        /// Hash recomputed from the decoded payload.
+        /// Hash recomputed from the header fields and the body.
         actual: String,
     },
 }
@@ -473,6 +452,9 @@ impl fmt::Display for ArtifactError {
                     "trace revision {found} (this build lowers trace revision {expected})"
                 )
             }
+            ArtifactError::BodyLength { declared, actual } => {
+                write!(f, "body is {actual} bytes, header declares {declared}")
+            }
             ArtifactError::Malformed { what } => write!(f, "malformed artifact: {what}"),
             ArtifactError::PayloadHashMismatch { stored, actual } => {
                 write!(f, "payload hash {stored} != recomputed {actual}")
@@ -492,6 +474,24 @@ mod tests {
     fn sample() -> CompiledWorkload {
         let cfg = Benchmark::Ghz.config(InstanceSize::Reduced);
         CompiledWorkload::compile(cfg.descriptor(), &cfg.build(), CompilerConfig::default())
+    }
+
+    fn select() -> CompiledWorkload {
+        let cfg = Benchmark::Select.config(InstanceSize::Reduced);
+        CompiledWorkload::compile(cfg.descriptor(), &cfg.build(), CompilerConfig::default())
+    }
+
+    /// The artifact's header line, and its body.
+    fn split(bytes: &[u8]) -> (String, &[u8]) {
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        (
+            String::from_utf8(bytes[..newline].to_vec()).unwrap(),
+            &bytes[newline + 1..],
+        )
+    }
+
+    fn join(header: &str, body: &[u8]) -> Vec<u8> {
+        [header.as_bytes(), b"\n", body].concat()
     }
 
     #[test]
@@ -516,15 +516,9 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_the_artifact() {
-        let select = Benchmark::Select.config(InstanceSize::Reduced);
-        let w = CompiledWorkload::compile(
-            select.descriptor(),
-            &select.build(),
-            CompilerConfig::default(),
-        );
-        let doc = w.to_json();
-        let restored = CompiledWorkload::from_json(&doc).unwrap();
+    fn byte_round_trip_preserves_the_artifact() {
+        let w = select();
+        let restored = CompiledWorkload::from_bytes(&w.to_bytes()).unwrap();
         assert_eq!(restored, w);
         assert!(!restored.registers().registers().is_empty());
         assert_eq!(
@@ -535,162 +529,173 @@ mod tests {
             .registers()
             .qubits_with_role(RegisterRole::Control)
             .is_empty());
-        // Round-trips through text too (the on-disk representation).
-        let reparsed = lsqca_json::parse(&doc.pretty()).unwrap();
-        assert_eq!(CompiledWorkload::from_json(&reparsed).unwrap(), w);
-    }
-
-    /// The payload hash from scratch: render every text and hash it, with no
-    /// memo involved.
-    fn recomputed_hash(w: &CompiledWorkload) -> u64 {
-        CompiledWorkload::payload_hash_of(
-            &w.descriptor,
-            w.num_qubits,
-            w.t_gates,
-            w.memory_footprint,
-            &w.registers,
-            [
-                &format_program(&w.program),
-                &encode_classes(&w.classes),
-                &w.trace.encode(),
-            ],
-        )
+        // Re-serializing a loaded artifact reproduces the file exactly.
+        assert_eq!(restored.to_bytes(), w.to_bytes());
     }
 
     #[test]
-    fn memoized_payload_hash_matches_a_fresh_recomputation() {
-        let select = Benchmark::Select.config(InstanceSize::Reduced);
-        let compiled = CompiledWorkload::compile(
-            select.descriptor(),
-            &select.build(),
-            CompilerConfig::default(),
+    fn header_is_one_compact_json_line_describing_the_body() {
+        let w = select();
+        let bytes = w.to_bytes();
+        let (header, body) = split(&bytes);
+        let doc = lsqca_json::parse(&header).unwrap();
+        assert_eq!(doc.compact(), header);
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(ARTIFACT_SCHEMA)
         );
-        let expected = recomputed_hash(&compiled);
-        // Compiling does not hash; a never-serialized artifact hashes lazily.
-        assert!(compiled.payload_hash.0.get().is_none());
-        let lazy = compiled.clone();
-        assert_eq!(lazy.payload_hash(), expected);
-        assert_eq!(lazy.payload_hash(), expected, "memoized on first use");
-        // Serializing fills the slot with the hash it writes.
-        let doc = compiled.to_json();
-        assert_eq!(compiled.payload_hash.0.get(), Some(&expected));
+        assert_eq!(
+            doc.get("body_bytes").and_then(Json::as_u64),
+            Some(body.len() as u64)
+        );
+        assert_eq!(body, w.trace().encode().as_slice());
+    }
+
+    #[test]
+    fn payload_hash_covers_the_identity_fields_and_the_body() {
+        let compiled = select();
+        let expected = payload_hash_of(
+            &compiled.descriptor,
+            compiled.program.name(),
+            compiled.num_qubits,
+            compiled.t_gates,
+            compiled.memory_footprint,
+            &compiled.registers,
+            &compiled.trace.encode(),
+        );
+        assert_eq!(compiled.payload_hash(), expected);
+        let bytes = compiled.to_bytes();
+        let (header, _) = split(&bytes);
+        let doc = lsqca_json::parse(&header).unwrap();
         assert_eq!(
             doc.get("payload_hash").and_then(Json::as_str),
             Some(format!("{expected:016x}").as_str())
         );
         // Loading keeps the hash it verified.
-        let loaded = CompiledWorkload::from_json(&doc).unwrap();
-        assert_eq!(loaded.payload_hash.0.get(), Some(&expected));
+        let loaded = CompiledWorkload::from_bytes(&bytes).unwrap();
         assert_eq!(loaded.payload_hash(), expected);
-        assert_eq!(recomputed_hash(&loaded), expected);
     }
 
     #[test]
-    fn equality_and_debug_ignore_the_memo_state() {
-        let unhashed = sample();
-        let loaded = CompiledWorkload::from_json(&unhashed.to_json()).unwrap();
-        let unhashed = sample();
-        assert!(unhashed.payload_hash.0.get().is_none());
-        assert!(loaded.payload_hash.0.get().is_some());
-        assert_eq!(unhashed, loaded);
-        assert_eq!(format!("{unhashed:?}"), format!("{loaded:?}"));
-        unhashed.payload_hash();
-        assert_eq!(unhashed, loaded);
-        assert_eq!(format!("{unhashed:?}"), format!("{loaded:?}"));
-    }
-
-    #[test]
-    fn tampered_documents_are_rejected() {
+    fn tampered_headers_are_rejected() {
         let w = sample();
-        let pretty = w.to_json().pretty();
+        let bytes = w.to_bytes();
+        let (header, body) = split(&bytes);
+        let load = |header: String| CompiledWorkload::from_bytes(&join(&header, body));
 
         // Flipped ISA version.
-        let bumped = pretty.replace(
-            &format!("\"isa_version\": {ISA_VERSION}"),
-            "\"isa_version\": 999",
-        );
         assert!(matches!(
-            CompiledWorkload::from_json(&lsqca_json::parse(&bumped).unwrap()),
+            load(header.replace(
+                &format!("\"isa_version\":{ISA_VERSION}"),
+                "\"isa_version\":999"
+            )),
             Err(ArtifactError::IsaVersionMismatch { found: 999, .. })
         ));
 
-        // Wrong schema string.
-        let wrong = pretty.replace(ARTIFACT_SCHEMA, "lsqca-workload-artifact-v0");
+        // Wrong schema string; a v1 artifact's schema is reported as such.
         assert!(matches!(
-            CompiledWorkload::from_json(&lsqca_json::parse(&wrong).unwrap()),
-            Err(ArtifactError::SchemaMismatch { .. })
+            load(header.replace(ARTIFACT_SCHEMA, "lsqca-workload-artifact-v1")),
+            Err(ArtifactError::SchemaMismatch { found }) if found.ends_with("-v1")
         ));
 
         // Mutated qubit count: caught by the payload hash.
-        let mutated = pretty.replace(
-            &format!("\"num_qubits\": {}", w.num_qubits),
-            "\"num_qubits\": 1",
-        );
         assert!(matches!(
-            CompiledWorkload::from_json(&lsqca_json::parse(&mutated).unwrap()),
+            load(header.replace(
+                &format!("\"num_qubits\":{}", w.num_qubits),
+                "\"num_qubits\":1"
+            )),
             Err(ArtifactError::PayloadHashMismatch { .. })
         ));
 
         // Missing field.
-        let dropped = pretty.replace("\"t_gates\"", "\"t_gates_gone\"");
         assert!(matches!(
-            CompiledWorkload::from_json(&lsqca_json::parse(&dropped).unwrap()),
+            load(header.replace("\"t_gates\"", "\"t_gates_gone\"")),
             Err(ArtifactError::MissingField { field: "t_gates" })
         ));
 
+        // Not JSON at all, and no header line.
+        assert!(matches!(
+            load(header.replacen('{', "[", 1)),
+            Err(ArtifactError::Malformed { what }) if what.starts_with("header")
+        ));
+        assert!(matches!(
+            CompiledWorkload::from_bytes(header.as_bytes()),
+            Err(ArtifactError::Malformed { .. })
+        ));
+
         // Flipped trace revision: the error names both revisions.
-        let relowered = pretty.replace(
-            &format!("\"trace_revision\": {}", lsqca_isa::TRACE_REVISION),
-            "\"trace_revision\": 777",
-        );
-        let err = CompiledWorkload::from_json(&lsqca_json::parse(&relowered).unwrap()).unwrap_err();
+        let err = load(header.replace(
+            &format!("\"trace_revision\":{TRACE_REVISION}"),
+            "\"trace_revision\":777",
+        ))
+        .unwrap_err();
         assert!(matches!(
             err,
             ArtifactError::TraceRevisionMismatch { found: 777, .. }
         ));
         assert!(err.to_string().contains("trace revision 777"));
-        assert!(err
-            .to_string()
-            .contains(&lsqca_isa::TRACE_REVISION.to_string()));
+        assert!(err.to_string().contains(&TRACE_REVISION.to_string()));
     }
 
     #[test]
-    fn class_vector_must_match_the_program_length() {
-        let mut w = sample();
-        w.classes.pop();
-        let doc = w.to_json();
+    fn body_must_have_the_declared_length() {
+        let bytes = sample().to_bytes();
+        let truncated = &bytes[..bytes.len() - 1];
         assert!(matches!(
-            CompiledWorkload::from_json(&doc),
-            Err(ArtifactError::Malformed { .. })
+            CompiledWorkload::from_bytes(truncated),
+            Err(ArtifactError::BodyLength { declared, actual }) if declared == actual + 1
+        ));
+        let extended = [bytes.as_slice(), &[0]].concat();
+        assert!(matches!(
+            CompiledWorkload::from_bytes(&extended),
+            Err(ArtifactError::BodyLength { declared, actual }) if declared + 1 == actual
         ));
     }
 
     #[test]
-    fn trace_must_match_the_program_length() {
-        let mut w = sample();
-        w.trace = lsqca_isa::ExecutionTrace::new();
-        let doc = w.to_json();
+    fn undecodable_body_with_a_matching_hash_is_malformed() {
+        // A body the hash vouches for but the trace decoder rejects (unknown
+        // opcode): the decoder, not the hash, must stop it.
+        let w = sample();
+        let body = [0x7f, 0];
+        let hash = payload_hash_of(
+            &w.descriptor,
+            w.program.name(),
+            w.num_qubits,
+            w.t_gates,
+            w.memory_footprint,
+            &w.registers,
+            &body,
+        );
+        let bytes = w.to_bytes();
+        let (header, old_body) = split(&bytes);
+        let header = header
+            .replace(
+                &format!("\"body_bytes\":{}", old_body.len()),
+                "\"body_bytes\":2",
+            )
+            .replace(&format!("{:016x}", w.payload_hash), &format!("{hash:016x}"));
         assert!(matches!(
-            CompiledWorkload::from_json(&doc),
-            Err(ArtifactError::Malformed { what }) if what.contains("trace revision")
+            CompiledWorkload::from_bytes(&join(&header, &body)),
+            Err(ArtifactError::Malformed { what }) if what.contains("unknown opcode")
         ));
     }
 
     #[test]
     fn loading_an_artifact_does_not_relower() {
         let w = sample();
-        let doc = w.to_json();
+        let bytes = w.to_bytes();
         // The lowering counter is process-wide and tests compiling in
         // parallel advance it too. A load that lowered would advance it on
         // every attempt, so one attempt that leaves it flat shows the load
         // decoded instead.
         let load_left_counter_flat = || {
             let before = lsqca_isa::lowering_count();
-            CompiledWorkload::from_json(&doc).unwrap();
+            CompiledWorkload::from_bytes(&bytes).unwrap();
             lsqca_isa::lowering_count() == before
         };
         assert!((0..100).any(|_| load_left_counter_flat()));
-        let restored = CompiledWorkload::from_json(&doc).unwrap();
+        let restored = CompiledWorkload::from_bytes(&bytes).unwrap();
         assert_eq!(restored.trace(), w.trace());
         assert_eq!(restored.trace().len(), w.program.len());
     }
@@ -711,7 +716,7 @@ mod tests {
         let circuit = Circuit::new("empty", 0);
         let w = CompiledWorkload::compile("adhoc:empty", &circuit, CompilerConfig::default());
         assert_eq!(w.memory_footprint(), 0);
-        let restored = CompiledWorkload::from_json(&w.to_json()).unwrap();
+        let restored = CompiledWorkload::from_bytes(&w.to_bytes()).unwrap();
         assert_eq!(restored, w);
     }
 
@@ -746,5 +751,13 @@ mod tests {
         }
         .to_string()
         .contains("9"));
+        assert_eq!(
+            ArtifactError::BodyLength {
+                declared: 5,
+                actual: 3
+            }
+            .to_string(),
+            "body is 3 bytes, header declares 5"
+        );
     }
 }

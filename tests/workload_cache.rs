@@ -104,16 +104,20 @@ fn tampered_cache_entries_are_never_served() {
     let path = cache.path_for(&cfg.descriptor(), &compiler).unwrap();
 
     // Truncation (simulated torn write).
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, &text[..text.len() / 3]).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
     let (artifact, event) = cache.load_or_compile(&cfg.descriptor(), compiler, || cfg.build());
     assert!(matches!(event, CacheEvent::Invalidated(_)), "{event:?}");
     assert_eq!(artifact, pristine);
 
-    // Stale ISA version.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let stale = text.replace("\"isa_version\": ", "\"isa_version\": 99");
-    std::fs::write(&path, stale).unwrap();
+    // Stale ISA version, in the artifact's one-line JSON header; the binary
+    // trace body after the first newline is left as it is.
+    let bytes = std::fs::read(&path).unwrap();
+    let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+    let header = std::str::from_utf8(&bytes[..newline]).unwrap();
+    assert!(header.contains("\"isa_version\":"));
+    let stale = header.replace("\"isa_version\":", "\"isa_version\":99");
+    std::fs::write(&path, [stale.as_bytes(), &bytes[newline..]].concat()).unwrap();
     let (artifact, event) = cache.load_or_compile(&cfg.descriptor(), compiler, || cfg.build());
     assert!(matches!(event, CacheEvent::Invalidated(_)), "{event:?}");
     assert_eq!(artifact, pristine);
@@ -142,10 +146,10 @@ fn mutated_config_gets_its_own_artifact() {
     assert_eq!(artifact.num_qubits(), 9);
 }
 
-/// Result keys embed the artifact's payload hash, which each artifact derives
-/// once: lazily when never serialized, from `to_json` when the cache publishes
-/// it, from `from_json` when the cache serves it. All three must agree, or a
-/// store filled by one process would miss in the next.
+/// Result keys embed the artifact's payload hash, which `compile` computes
+/// over the encoded trace body and `from_bytes` verifies when the cache
+/// serves it. A never-serialized, a published and a loaded artifact must
+/// agree, or a store filled by one process would miss in the next.
 #[test]
 fn result_keys_agree_across_compiled_published_and_loaded_artifacts() {
     let _serial = compile_lock();
