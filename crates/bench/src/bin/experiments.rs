@@ -424,7 +424,8 @@ fn main() -> ExitCode {
     // block is rendered from one registry snapshot; its four line formats
     // are stable and CI-greppable. A warm run loads every execution trace
     // from the artifact cache and answers every point from the result store,
-    // so it reports `0 lowered` and `0 warmed`.
+    // so its `trace engine:` and `simulator:` lines report `0 lowered` and
+    // `0 warmed`.
     eprintln!("{}", lsqca_bench::telemetry_summary());
 
     if let Some(path) = &metrics_out {

@@ -2,14 +2,13 @@
 
 use crate::config::SimConfig;
 use crate::metrics::ExecutionStats;
-use crate::snapshot::{builds_counter, forks_counter, Snapshot};
 use crate::trace::MemoryTrace;
 use lsqca_arch::{ArchConfig, MagicStateSupply, MemorySystem, MigrationPolicy, MsfConfig};
 use lsqca_isa::trace_compile::flags;
 use lsqca_isa::{
     ClassicalId, ExecKind, ExecutionTrace, Instruction, LatencyClass, MemAddr, Program, RegId,
 };
-use lsqca_lattice::{Beats, LatticeError, Page, QubitTag};
+use lsqca_lattice::{Beats, LatticeError, QubitTag};
 use lsqca_workloads::CompiledWorkload;
 use std::error::Error;
 use std::fmt;
@@ -30,6 +29,21 @@ fn runs_counter() -> &'static lsqca_telemetry::Counter {
 /// `sim.runs` counter).
 pub fn simulation_count() -> u64 {
     runs_counter().get()
+}
+
+/// Registry counter of full simulator warm-ups (constructions) in this
+/// process: every successful pass through the private
+/// `Simulator::construct` behind [`SimulatorBuilder::build`]. CI asserts a
+/// warm-store rerun performs zero warm-ups.
+fn builds_counter() -> &'static lsqca_telemetry::Counter {
+    static COUNTER: OnceLock<&'static lsqca_telemetry::Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| lsqca_telemetry::counter("sim.warmed"))
+}
+
+/// Total full simulator warm-ups (constructions) performed by this process
+/// (the registry's `sim.warmed` counter).
+pub fn warm_count() -> u64 {
+    builds_counter().get()
 }
 
 /// Opt-in per-instance telemetry knobs, set on
@@ -179,28 +193,20 @@ pub struct SimOutcome {
 ///
 /// A `Simulator` owns the architectural state (memory system, magic-state
 /// supply, resource ready-times) for one run; use [`simulate`] for the common
-/// one-shot case. Construct one with [`Simulator::builder`], execute any
-/// input kind with [`Simulator::execute`], and clone a warmed instance in
-/// O(1) with [`Simulator::fork`] — the bulk state lives in copy-on-write
-/// [`Page`]s shared between forks until first write.
-#[derive(Debug, Clone)]
+/// one-shot case. Construct one with [`Simulator::builder`] and execute any
+/// input kind with [`Simulator::execute`]. Every execution starts from the
+/// pristine state, so one simulator can run many inputs in turn.
+#[derive(Debug)]
 pub struct Simulator {
-    /// The whole memory system behind one copy-on-write page. The page is
-    /// detached exactly once per run — [`Simulator::execute_trace`] and
-    /// [`Simulator::execute_classified`] call `make_mut` up front — so the
-    /// hot loop mutates a plain `MemorySystem` with zero per-operation
-    /// refcount traffic, while [`Simulator::fork`] and
-    /// [`Simulator::snapshot`] stay reference-count bumps.
-    memory: Page<MemorySystem>,
+    memory: MemorySystem,
     magic: MagicStateSupply,
     config: SimConfig,
     unbounded_registers: bool,
-    /// Dense per-qubit ready times. Copy-on-write so a fork of a warmed
-    /// simulator shares the table until its first run writes it.
-    mem_ready: Page<Vec<Beats>>,
+    /// Dense per-qubit ready times.
+    mem_ready: Vec<Beats>,
     slot_ready: Vec<Beats>,
-    /// Dense per-classical-value ready times. Copy-on-write like `mem_ready`.
-    classical_ready: Page<Vec<Beats>>,
+    /// Dense per-classical-value ready times.
+    classical_ready: Vec<Beats>,
     bank_ready: Vec<Beats>,
     skip_guard: Option<Beats>,
     /// Reusable lowering scratch for executing a [`Program`]: the execution trace
@@ -254,8 +260,7 @@ impl Simulator {
     }
 
     /// The single validated construction path behind [`SimulatorBuilder`].
-    /// Every successful pass counts as one full warm-up in
-    /// [`crate::snapshot::warm_count`].
+    /// Every successful pass counts as one full warm-up in [`warm_count`].
     ///
     /// # Errors
     ///
@@ -299,16 +304,12 @@ impl Simulator {
             hot_qubits: hot_qubits.to_vec(),
             dirty: false,
             migration: None,
-            // The memory system goes behind one copy-on-write page, so `fork`
-            // and `snapshot` are reference-count bumps. A fresh simulator
-            // owns its page uniquely — no other handle exists — so the
-            // first run's up-front detach is free.
-            memory: Page::new(memory),
+            memory,
             magic,
             config,
-            mem_ready: Page::new(vec![Beats::ZERO; num_qubits as usize]),
+            mem_ready: vec![Beats::ZERO; num_qubits as usize],
             slot_ready: vec![Beats::ZERO; cr_slots],
-            classical_ready: Page::default(),
+            classical_ready: Vec::new(),
             bank_ready: vec![Beats::ZERO; bank_count],
             skip_guard: None,
             scratch_trace: ExecutionTrace::new(),
@@ -330,14 +331,6 @@ impl Simulator {
         &self.memory
     }
 
-    /// Attaches a runtime hot-set [`MigrationPolicy`], (re)initialized with
-    /// this simulator's qubit count and pinned hot set: the shared attach
-    /// path behind the builder and `fork_with_policy`.
-    fn attach_policy(&mut self, mut policy: Box<dyn MigrationPolicy>) {
-        policy.begin(self.num_qubits, &self.hot_qubits);
-        self.migration = Some(policy);
-    }
-
     /// Detaches the migration policy, if any.
     pub fn clear_migration_policy(&mut self) {
         self.migration = None;
@@ -354,21 +347,16 @@ impl Simulator {
     /// [`Simulator::execute`] calls this automatically when the simulator has
     /// already executed a program, so consecutive runs each start from the
     /// pristine architectural state rather than silently continuing from
-    /// wherever the previous program left the memory. The restore rebuilds
-    /// the memory system from the kept construction inputs: retaining a
-    /// pristine page instead would alias the live one and force every
-    /// build-once-run-once simulator — the dominant sweep path — to deep-copy
-    /// it at its first (only) run, so explicit reuse pays for reuse here and
-    /// the one-shot path pays nothing. Fresh starts for the batched sweeps
-    /// come from [`Simulator::fork`]ing a warmed parent, not from `reset`.
+    /// wherever the previous program left the memory. The reset rebuilds
+    /// the memory system from the kept construction inputs: keeping a
+    /// pristine copy instead would make every build-once-run-once simulator
+    /// — the sweep path — pay for a copy it never uses, so explicit reuse
+    /// pays for reuse here and the one-shot path pays nothing.
     pub fn reset(&mut self) {
-        self.memory = Page::new(MemorySystem::new(
-            &self.arch,
-            self.num_qubits,
-            &self.hot_qubits,
-        ));
+        self.memory = MemorySystem::new(&self.arch, self.num_qubits, &self.hot_qubits);
         self.magic = Self::build_magic(&self.arch);
-        Self::reset_table(&mut self.mem_ready, self.num_qubits as usize);
+        self.mem_ready.clear();
+        self.mem_ready.resize(self.num_qubits as usize, Beats::ZERO);
         // Restore the construction *length* too, not just the values: a
         // program touching a `RegId` beyond the CR grows `slot_ready`, and
         // the CX scheduler treats every entry as a claimable slot — leftover
@@ -377,7 +365,7 @@ impl Simulator {
         self.slot_ready.clear();
         self.slot_ready
             .resize(self.memory.effective_cr_slots() as usize, Beats::ZERO);
-        Self::reset_table(&mut self.classical_ready, 0);
+        self.classical_ready.clear();
         for t in &mut self.bank_ready {
             *t = Beats::ZERO;
         }
@@ -388,92 +376,11 @@ impl Simulator {
         self.dirty = false;
     }
 
-    /// Zeroes a copy-on-write ready table back to `len` entries: in place
-    /// when the page is uniquely owned, by swapping in a fresh page when it
-    /// is shared with a fork (copying just to overwrite would be waste).
-    fn reset_table(table: &mut Page<Vec<Beats>>, len: usize) {
-        match table.unique_mut() {
-            Some(ready) => {
-                ready.clear();
-                ready.resize(len, Beats::ZERO);
-            }
-            None => table.set(vec![Beats::ZERO; len]),
-        }
-    }
-
-    /// Copy-on-write fork: a new simulator sharing every page of this one's
-    /// state — the whole memory system (grids, position tables, checkout
-    /// ledgers, vacancy rings) behind one page, plus the dense ready tables
-    /// — until the fork (or the parent) first writes it. The cost is
-    /// O(pages), independent of qubit count and grid size, so a sweep warms
-    /// one simulator per architecture and forks it per variant instead of
-    /// re-running construction N times.
-    ///
-    /// The fork owns its state: dropping (or further running) the parent
-    /// never disturbs it. An attached migration policy is cloned as-is;
-    /// use [`Simulator::fork_with_policy`] to fork into a different policy
-    /// variant in one step.
-    pub fn fork(&self) -> Simulator {
-        forks_counter().inc();
-        let _span = lsqca_telemetry::span("sim.fork");
-        let mut fork = self.clone();
-        // The lowering scratch is per-instance working memory, not
-        // architectural state; a fresh fork starts with an empty one.
-        fork.scratch_trace = ExecutionTrace::new();
-        fork
-    }
-
-    /// Forks (see [`Simulator::fork`]) and swaps the migration policy in the
-    /// same step: `Some` attaches and initializes the policy on the fork,
-    /// `None` detaches whatever the parent carried. This is the
-    /// `run_batch` entry point — one warmed parent, N policy variants.
-    pub fn fork_with_policy(&self, policy: Option<Box<dyn MigrationPolicy>>) -> Simulator {
-        let mut fork = self.fork();
-        match policy {
-            Some(policy) => fork.attach_policy(policy),
-            None => fork.migration = None,
-        }
-        fork
-    }
-
-    /// Captures the architectural and scheduler state as an O(pages)
-    /// [`Snapshot`] handle (see the [`crate::snapshot`] module docs for the
-    /// sharing semantics and what is deliberately excluded).
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            memory: self.memory.clone(),
-            magic: self.magic.clone(),
-            mem_ready: self.mem_ready.clone(),
-            slot_ready: self.slot_ready.clone(),
-            classical_ready: self.classical_ready.clone(),
-            bank_ready: self.bank_ready.clone(),
-            skip_guard: self.skip_guard,
-            dirty: self.dirty,
-        }
-    }
-
-    /// Rewinds the simulator to a previously captured [`Snapshot`] — an
-    /// O(pages) restore. An attached migration policy is re-initialized from
-    /// the pinned hot set, exactly as [`Simulator::reset`] does.
-    pub fn restore(&mut self, snapshot: &Snapshot) {
-        self.memory = snapshot.memory.clone();
-        self.magic = snapshot.magic.clone();
-        self.mem_ready = snapshot.mem_ready.clone();
-        self.slot_ready = snapshot.slot_ready.clone();
-        self.classical_ready = snapshot.classical_ready.clone();
-        self.bank_ready = snapshot.bank_ready.clone();
-        self.skip_guard = snapshot.skip_guard;
-        self.dirty = snapshot.dirty;
-        if let Some(policy) = &mut self.migration {
-            policy.begin(self.num_qubits, &self.hot_qubits);
-        }
-    }
-
     /// True when two simulators hold observationally identical run state:
     /// memory system, magic supply, every ready table, the skip guard, the
     /// dirty flag, and the (Debug-rendered) migration policy state. This is
-    /// the equivalence the fork shadow proptests assert between a fork and a
-    /// fresh simulator replaying the same prefix.
+    /// the equivalence the reset proptests assert between a re-executed
+    /// simulator and a fresh one running the same input.
     #[doc(hidden)]
     pub fn state_eq(&self, other: &Simulator) -> bool {
         self.memory == other.memory
@@ -496,11 +403,10 @@ impl Simulator {
 
     fn set_mem_ready(&mut self, m: MemAddr, t: Beats) {
         let idx = m.index() as usize;
-        let mem_ready = self.mem_ready.make_mut();
-        if idx >= mem_ready.len() {
-            mem_ready.resize(idx + 1, Beats::ZERO);
+        if idx >= self.mem_ready.len() {
+            self.mem_ready.resize(idx + 1, Beats::ZERO);
         }
-        mem_ready[idx] = t;
+        self.mem_ready[idx] = t;
     }
 
     fn slot_ready(&self, r: RegId) -> Beats {
@@ -527,11 +433,10 @@ impl Simulator {
 
     fn set_classical_ready(&mut self, v: ClassicalId, t: Beats) {
         let idx = v.index() as usize;
-        let classical_ready = self.classical_ready.make_mut();
-        if idx >= classical_ready.len() {
-            classical_ready.resize(idx + 1, Beats::ZERO);
+        if idx >= self.classical_ready.len() {
+            self.classical_ready.resize(idx + 1, Beats::ZERO);
         }
-        classical_ready[idx] = t;
+        self.classical_ready[idx] = t;
     }
 
     fn tag(m: MemAddr) -> QubitTag {
@@ -613,10 +518,6 @@ impl Simulator {
             self.reset();
         }
         self.dirty = true;
-        // Detach the copy-on-write memory page up front, so a fork pays its
-        // copy here, once, and every `make_mut` at the access sites below
-        // takes the unique-owner fast path.
-        self.memory.make_mut();
         let mut stats = ExecutionStats {
             memory_density: self.memory.memory_density(),
             total_cells: self.memory.total_cells(),
@@ -716,7 +617,7 @@ impl Simulator {
                         if self.memory.is_checked_out(qubit) {
                             continue;
                         }
-                        if let Ok(cost) = self.memory.make_mut().migrate(qubit, victim) {
+                        if let Ok(cost) = self.memory.migrate(qubit, victim) {
                             policy.applied(qubit, victim);
                             let total = cost + policy.overhead();
                             stats.migrations += 1;
@@ -731,13 +632,13 @@ impl Simulator {
             let duration = match *instr {
                 Instruction::Ld { mem, .. } => {
                     stats.loads += 1;
-                    let cost = self.memory.make_mut().load(Self::tag(mem)).map_err(wrap)?;
+                    let cost = self.memory.load(Self::tag(mem)).map_err(wrap)?;
                     stats.memory_access_beats += cost;
                     cost
                 }
                 Instruction::St { mem, .. } => {
                     stats.stores += 1;
-                    let cost = self.memory.make_mut().store(Self::tag(mem)).map_err(wrap)?;
+                    let cost = self.memory.store(Self::tag(mem)).map_err(wrap)?;
                     stats.memory_access_beats += cost;
                     cost
                 }
@@ -761,20 +662,12 @@ impl Simulator {
                 Instruction::Sk { .. } => Beats::ZERO,
                 Instruction::PzM { .. } | Instruction::PpM { .. } => Beats::ZERO,
                 Instruction::HdM { mem } => {
-                    let seek = self
-                        .memory
-                        .make_mut()
-                        .in_memory_seek(Self::tag(mem))
-                        .map_err(wrap)?;
+                    let seek = self.memory.in_memory_seek(Self::tag(mem)).map_err(wrap)?;
                     stats.memory_access_beats += seek;
                     seek + Beats(3)
                 }
                 Instruction::PhM { mem } => {
-                    let seek = self
-                        .memory
-                        .make_mut()
-                        .in_memory_seek(Self::tag(mem))
-                        .map_err(wrap)?;
+                    let seek = self.memory.in_memory_seek(Self::tag(mem)).map_err(wrap)?;
                     stats.memory_access_beats += seek;
                     seek + Beats(2)
                 }
@@ -782,7 +675,6 @@ impl Simulator {
                 Instruction::MxxM { mem, .. } | Instruction::MzzM { mem, .. } => {
                     let access = self
                         .memory
-                        .make_mut()
                         .in_memory_two_qubit_access(Self::tag(mem))
                         .map_err(wrap)?;
                     stats.memory_access_beats += access;
@@ -799,13 +691,12 @@ impl Simulator {
                     let peek_c = self.memory.peek_load(qc).map_err(wrap)?;
                     let peek_t = self.memory.peek_load(qt).map_err(wrap)?;
                     let (loaded, other) = if peek_c <= peek_t { (qc, qt) } else { (qt, qc) };
-                    let load = self.memory.make_mut().load(loaded).map_err(wrap)?;
+                    let load = self.memory.load(loaded).map_err(wrap)?;
                     let access = self
                         .memory
-                        .make_mut()
                         .in_memory_two_qubit_access(other)
                         .map_err(wrap)?;
-                    let store = self.memory.make_mut().store(loaded).map_err(wrap)?;
+                    let store = self.memory.store(loaded).map_err(wrap)?;
                     // The internal load/store pair is counted separately from
                     // explicit LD/ST instructions: `stats.loads`/`stats.stores`
                     // track the program text, `implicit_*` track what the CX
@@ -877,31 +768,28 @@ impl Simulator {
         }
         self.dirty = true;
 
-        // Detach the copy-on-write ready tables up front — this run writes
-        // them unconditionally, so a fork pays its page copies here, once,
-        // and the hot loop below indexes plain vectors. Presize them so the
-        // loop needs no per-write grow checks, plus one scratch slot past
-        // every real operand: absent operands read slot 0 under a zero mask
-        // and write the scratch slot, so the dependency pass needs no
-        // per-operand branches at all. Reads of never-written entries return
-        // `Beats::ZERO` either way, so sizing up front is observationally
-        // free. `slot_ready` deliberately keeps its lazy growth instead: the
-        // CX slot claim scans the *current* table, and presizing it would
-        // hand CXs slots the program has not touched yet.
+        // Presize the ready tables so the hot loop below needs no per-write
+        // grow checks, plus one scratch slot past every real operand: absent
+        // operands read slot 0 under a zero mask and write the scratch slot,
+        // so the dependency pass needs no per-operand branches at all. Reads
+        // of never-written entries return `Beats::ZERO` either way, so sizing
+        // up front is observationally free. `slot_ready` deliberately keeps
+        // its lazy growth instead: the CX slot claim scans the *current*
+        // table, and presizing it would hand CXs slots the program has not
+        // touched yet.
         let mem_bound = trace.mem_bound() as usize;
-        let mem_ready_table = self.mem_ready.make_mut();
-        if mem_ready_table.len() < mem_bound + 1 {
-            mem_ready_table.resize(mem_bound + 1, Beats::ZERO);
+        if self.mem_ready.len() < mem_bound + 1 {
+            self.mem_ready.resize(mem_bound + 1, Beats::ZERO);
         }
         // Any index past every real operand works as the write sink: nothing
         // in this run reads indices at or above `mem_bound`.
-        let mem_scratch = mem_ready_table.len() - 1;
+        let mem_scratch = self.mem_ready.len() - 1;
         let classical_bound = trace.classical_bound() as usize;
-        let classical_ready_table = self.classical_ready.make_mut();
-        if classical_ready_table.len() < classical_bound + 1 {
-            classical_ready_table.resize(classical_bound + 1, Beats::ZERO);
+        if self.classical_ready.len() < classical_bound + 1 {
+            self.classical_ready
+                .resize(classical_bound + 1, Beats::ZERO);
         }
-        let classical_scratch = classical_ready_table.len() - 1;
+        let classical_scratch = self.classical_ready.len() - 1;
 
         let mut stats = ExecutionStats {
             memory_density: self.memory.memory_density(),
@@ -964,14 +852,6 @@ impl Simulator {
             arch,
             ..
         } = self;
-        // Already detached above, so these are the unique-owner fast path:
-        // plain `&mut Vec<Beats>` for the rest of the walk.
-        let mem_ready = mem_ready.make_mut();
-        let classical_ready = classical_ready.make_mut();
-        // Detach the memory page once — a fork pays its whole-system copy
-        // here — and the loop below mutates a plain `&mut MemorySystem`,
-        // byte-for-byte the pre-copy-on-write hot path.
-        let memory = memory.make_mut();
 
         for index in 0..trace.len() {
             if index as u64 >= budget {
@@ -1385,8 +1265,9 @@ impl SimulatorBuilder {
         if let Some(telemetry) = self.telemetry {
             simulator.telemetry = telemetry;
         }
-        if let Some(policy) = self.migration {
-            simulator.attach_policy(policy);
+        if let Some(mut policy) = self.migration {
+            policy.begin(simulator.num_qubits, &simulator.hot_qubits);
+            simulator.migration = Some(policy);
         }
         Ok(simulator)
     }
@@ -2061,63 +1942,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_is_equivalent_to_a_fresh_build() {
-        let mut program = Program::new("forked");
-        for q in 0..12u32 {
-            program.push(Instruction::Cx {
-                control: MemAddr(q),
-                target: MemAddr((q + 5) % 12),
-            });
-        }
-        let parent = sim(&point(1), 12);
-        let mut fork = parent.fork();
-        assert!(fork.state_eq(&parent));
-        let mut fresh = sim(&point(1), 12);
-        assert!(fork.state_eq(&fresh));
-        // Kill the parent: the fork owns its state.
-        drop(parent);
-        let via_fork = fork.execute(&program).unwrap();
-        let via_fresh = fresh.execute(&program).unwrap();
-        assert_eq!(via_fork, via_fresh);
-        assert!(fork.state_eq(&fresh));
-    }
-
-    #[test]
-    fn fork_with_policy_swaps_the_variant() {
-        use lsqca_arch::PolicyKind;
-        let mut program = Program::new("variants");
-        for _ in 0..40 {
-            program.push(Instruction::HdM { mem: MemAddr(30) });
-            program.push(Instruction::Cx {
-                control: MemAddr(30),
-                target: MemAddr(31),
-            });
-        }
-        let arch = point(1).with_hybrid_fraction(0.05);
-        let hot = [QubitTag(0), QubitTag(1)];
-        let parent = Simulator::builder(&arch, 64)
-            .hot_qubits(&hot)
-            .build()
-            .unwrap();
-        let mut plain = parent.fork_with_policy(None);
-        let mut adaptive = parent.fork_with_policy(Some(PolicyKind::FreqDecay.build()));
-        assert_eq!(plain.migration_policy_name(), None);
-        assert_eq!(adaptive.migration_policy_name(), Some("freq-decay"));
-        let static_run = plain.execute(&program).unwrap();
-        let dynamic_run = adaptive.execute(&program).unwrap();
-        assert_eq!(static_run.stats.migrations, 0);
-        assert!(dynamic_run.stats.migrations > 0);
-        // Each fork matches a fresh builder-constructed simulator.
-        let mut fresh = Simulator::builder(&arch, 64)
-            .hot_qubits(&hot)
-            .migration_policy(PolicyKind::FreqDecay.build())
-            .build()
-            .unwrap();
-        assert_eq!(fresh.execute(&program).unwrap(), dynamic_run);
-    }
-
-    #[test]
-    fn snapshot_restore_rewinds_a_dirty_simulator() {
+    fn reset_rewinds_a_dirty_simulator() {
         let mut program = Program::new("rewind");
         for q in 0..8u32 {
             program.push(Instruction::Cx {
@@ -2126,36 +1951,28 @@ mod tests {
             });
         }
         let mut simulator = sim(&point(1), 16);
-        let pristine = simulator.snapshot();
         let first = simulator.execute(&program).unwrap();
-        let warmed = simulator.snapshot();
-        // Restoring the pristine snapshot is observationally a fresh start.
-        simulator.restore(&pristine);
+        let mut reference = sim(&point(1), 16);
+        reference.execute(&program).unwrap();
+        assert!(simulator.state_eq(&reference));
+        // Resetting is observationally a fresh build.
+        simulator.reset();
         assert!(simulator.state_eq(&sim(&point(1), 16)));
         let again = simulator.execute(&program).unwrap();
         assert_eq!(first, again);
-        // Restoring the warmed snapshot reproduces the post-run state.
-        simulator.restore(&warmed);
-        let mut reference = sim(&point(1), 16);
-        reference.execute(&program).unwrap();
         assert!(simulator.state_eq(&reference));
     }
 
     #[test]
-    fn fork_and_warm_counters_advance() {
-        // The counters are process-wide and tests building simulators in
-        // parallel advance them too. A build or fork that counted itself
-        // twice (or not at all) would miss on every attempt, so one attempt
-        // with exactly one warm and three forks shows each counts once.
+    fn build_advances_the_warm_counter() {
+        // The counter is process-wide and tests building simulators in
+        // parallel advance it too. A build that counted itself twice (or not
+        // at all) would miss on every attempt, so one attempt that sees
+        // exactly one warm-up shows a build counts once.
         let counts_exactly = || {
-            let warmed_before = crate::snapshot::warm_count();
-            let forked_before = crate::snapshot::fork_count();
-            let parent = sim(&point(1), 8);
-            let _forks: Vec<Simulator> = (0..3).map(|_| parent.fork()).collect();
-            (
-                crate::snapshot::warm_count() - warmed_before,
-                crate::snapshot::fork_count() - forked_before,
-            ) == (1, 3)
+            let warmed_before = warm_count();
+            let _simulator = sim(&point(1), 8);
+            warm_count() - warmed_before == 1
         };
         assert!((0..100).any(|_| counts_exactly()));
     }

@@ -1,12 +1,13 @@
-//! Fork-equivalence: a copy-on-write fork against a fresh simulator.
+//! Reset equivalence: a re-executed simulator against a fresh one.
 //!
-//! [`Simulator::fork`] promises that a fork is observationally a brand-new
-//! simulator: same architectural state (grid cells, position tables,
-//! checkout ledgers, vacancy rings, policy state), same ready tables, same
-//! outcomes for every subsequent run — and full ownership, so killing or
-//! further running the parent never disturbs a fork. These properties pin
-//! that contract over random programs, floorplans, hot sets, and migration
-//! policies, the same space the trace-engine shadow suite sweeps.
+//! [`Simulator::execute`] promises that every run starts from the pristine
+//! architectural state: a simulator that already ran something — even a
+//! run that failed part-way — resets first, so it produces the same outcome
+//! and ends in the same state (grid cells, position tables, checkout
+//! ledgers, vacancy rings, ready tables, policy state) as a fresh simulator.
+//! This property pins that contract over random programs, floorplans, hot
+//! sets, and migration policies, the same space the trace-engine shadow
+//! suite sweeps.
 
 use lsqca_arch::{ArchConfig, FloorplanKind, PolicyKind};
 use lsqca_isa::{ClassicalId, Instruction, MemAddr, Program, RegId};
@@ -19,7 +20,7 @@ use proptest::prelude::*;
 const QUBITS: u32 = 24;
 
 /// Every instruction variant over deliberately small operand spaces — the
-/// same shape as the shadow-trace suite, so forks are exercised against
+/// same shape as the shadow-trace suite, so resets are exercised against
 /// dependency chains, bank serialization, checkout churn, and illegal
 /// sequences (typed-error equivalence included).
 fn any_instruction() -> impl Strategy<Value = Instruction> {
@@ -120,33 +121,12 @@ fn build(arch: &ArchConfig, hot: &[QubitTag], policy: Option<PolicyKind>) -> Sim
 }
 
 proptest! {
-    /// The headline property: after replaying the same prefix, a fork of the
-    /// warmed parent holds state bit-equivalent to a fresh simulator — grid
-    /// cells and positions, checkout ledgers, vacancy rings, ready tables,
-    /// and (Debug-rendered) policy state all compare equal, whether the
-    /// prefix succeeded or failed part-way.
+    /// Re-executing equals running fresh: after any prefix, successful or
+    /// failing, running a program on the dirty simulator produces exactly
+    /// what a fresh simulator produces and leaves the same state behind. An
+    /// explicit reset then gives back the state of a fresh build.
     #[test]
-    fn fork_state_matches_a_fresh_simulator_replaying_the_prefix(
-        prefix in any_program("prefix"),
-        arch in any_arch(),
-        hot in proptest::collection::vec(0u32..QUBITS, 0..4),
-        policy in any_policy(),
-    ) {
-        let hot: Vec<QubitTag> = hot.into_iter().map(QubitTag).collect();
-        let mut parent = build(&arch, &hot, policy);
-        let mut fresh = build(&arch, &hot, policy);
-        prop_assert!(parent.fork().state_eq(&fresh));
-        let expected = fresh.execute(&prefix);
-        let actual = parent.execute(&prefix);
-        prop_assert_eq!(expected, actual);
-        prop_assert!(parent.fork().state_eq(&fresh));
-    }
-
-    /// Fork-then-run equals reset-then-run: executing any program on a fork
-    /// of a dirty parent produces exactly what a fresh simulator produces,
-    /// because both start the run from the pristine architectural state.
-    #[test]
-    fn fork_then_run_equals_fresh_then_run(
+    fn rerun_after_any_prefix_equals_a_fresh_run(
         prefix in any_program("prefix"),
         program in any_program("main"),
         arch in any_arch(),
@@ -154,37 +134,12 @@ proptest! {
         policy in any_policy(),
     ) {
         let hot: Vec<QubitTag> = hot.into_iter().map(QubitTag).collect();
-        let mut parent = build(&arch, &hot, policy);
-        // Dirty the parent (possibly with a failing prefix) before forking.
-        let _ = parent.execute(&prefix);
-        let mut fork = parent.fork();
+        let mut reused = build(&arch, &hot, policy);
+        let _ = reused.execute(&prefix);
         let mut fresh = build(&arch, &hot, policy);
-        prop_assert_eq!(fresh.execute(&program), fork.execute(&program));
-        prop_assert!(fork.state_eq(&fresh));
-    }
-
-    /// Forks own their state: killing the parent right after the fork — while
-    /// every page is still shared — leaves a fork that runs exactly like a
-    /// fresh simulator. Running the parent further must not leak into the
-    /// fork either.
-    #[test]
-    fn forks_survive_their_parent(
-        program in any_program("main"),
-        arch in any_arch(),
-        hot in proptest::collection::vec(0u32..QUBITS, 0..4),
-        policy in any_policy(),
-    ) {
-        let hot: Vec<QubitTag> = hot.into_iter().map(QubitTag).collect();
-        let parent = build(&arch, &hot, policy);
-        let mut orphan = parent.fork();
-        drop(parent);
-        let mut fresh = build(&arch, &hot, policy);
-        prop_assert_eq!(fresh.execute(&program), orphan.execute(&program));
-
-        // Sibling forks stay independent while the parent keeps running.
-        let mut parent = build(&arch, &hot, policy);
-        let mut sibling = parent.fork();
-        let _ = parent.execute(&program);
-        prop_assert_eq!(fresh.execute(&program), sibling.execute(&program));
+        prop_assert_eq!(fresh.execute(&program), reused.execute(&program));
+        prop_assert!(reused.state_eq(&fresh));
+        reused.reset();
+        prop_assert!(reused.state_eq(&build(&arch, &hot, policy)));
     }
 }

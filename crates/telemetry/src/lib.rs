@@ -2,7 +2,7 @@
 //! and low-overhead span tracing.
 //!
 //! Every layer of the stack (workload cache, trace lowering, simulator
-//! warm/fork, result store, sharded supervisor) reports through the same two
+//! warm-up, result store, sharded supervisor) reports through the same two
 //! primitives:
 //!
 //! - **Metrics** ([`counter`], [`gauge`], [`histogram`]): named atomics

@@ -279,14 +279,16 @@ impl WorkloadCache {
             }
         };
         let compile_span = lsqca_telemetry::span("workload.compile");
-        let artifact = CompiledWorkload::compile(key, &build(), config);
+        let (artifact, body) = CompiledWorkload::compile_encoded(key, &build(), config);
         drop(compile_span);
         if let Miss::Io(err) = &miss {
             // An unreadable cache (not just a missing or corrupt entry) means
             // the directory itself is unhealthy: degrade once instead of
             // warning on every entry.
             self.degrade("read", err);
-        } else if let Err(err) = store_artifact(self.io.as_ref(), &path, &artifact) {
+        } else if let Err(err) =
+            atomic_write(self.io.as_ref(), &path, &artifact.bytes_with_body(&body))
+        {
             self.degrade("write", &err);
         }
         let event = match miss {
@@ -370,10 +372,6 @@ fn load_artifact(io: &dyn StoreIo, path: &Path, key: &str) -> Result<CompiledWor
     Ok(artifact)
 }
 
-fn store_artifact(io: &dyn StoreIo, path: &Path, artifact: &CompiledWorkload) -> io::Result<()> {
-    atomic_write(io, path, &artifact.to_bytes())
-}
-
 /// The default cache location: `lsqca-cache/` inside the `target/` directory
 /// the running executable was built into, so binaries, tests, and benches all
 /// share one cache per checkout. Falls back to `./target/lsqca-cache` when no
@@ -427,6 +425,10 @@ mod tests {
 
         let (first, event) = cache.load_or_compile(&desc, config, &build);
         assert_eq!(event, CacheEvent::Compiled);
+        // The published file is the artifact's own serialization, though
+        // the compile path hands the store the body it already encoded.
+        let path = cache.path_for(&desc, &config).unwrap();
+        assert_eq!(fs::read(path).unwrap(), first.to_bytes());
 
         // Asserted on this cache's own counters: the process-wide
         // `compile_count` also moves with tests compiling in parallel.

@@ -86,6 +86,17 @@ impl CompiledWorkload {
         circuit: &Circuit,
         config: CompilerConfig,
     ) -> Self {
+        Self::compile_encoded(descriptor, circuit, config).0
+    }
+
+    /// [`CompiledWorkload::compile`], also returning the encoded trace body
+    /// the payload hash was taken over, so a cache publishing the artifact
+    /// ([`CompiledWorkload::bytes_with_body`]) does not encode it again.
+    pub(crate) fn compile_encoded(
+        descriptor: impl Into<String>,
+        circuit: &Circuit,
+        config: CompilerConfig,
+    ) -> (Self, Vec<u8>) {
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
         let compiled = compile(circuit, config);
         let classes = LatencyTable::paper().classify_program(&compiled.program);
@@ -99,6 +110,7 @@ impl CompiledWorkload {
             .unwrap_or(0);
         let descriptor = descriptor.into();
         let registers = circuit.registers().clone();
+        let body = trace.encode();
         let payload_hash = payload_hash_of(
             &descriptor,
             compiled.program.name(),
@@ -106,9 +118,9 @@ impl CompiledWorkload {
             compiled.t_gates,
             memory_footprint,
             &registers,
-            &trace.encode(),
+            &body,
         );
-        CompiledWorkload {
+        let artifact = CompiledWorkload {
             descriptor,
             classes,
             trace,
@@ -118,7 +130,8 @@ impl CompiledWorkload {
             t_gates: compiled.t_gates,
             program: compiled.program,
             payload_hash,
-        }
+        };
+        (artifact, body)
     }
 
     /// The LSQCA instruction stream.
@@ -176,7 +189,13 @@ impl CompiledWorkload {
     /// Serializes the artifact to its on-disk form: a compact JSON header
     /// line, then the binary trace body.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let body = self.trace.encode();
+        self.bytes_with_body(&self.trace.encode())
+    }
+
+    /// [`CompiledWorkload::to_bytes`] around `body`, which must be this
+    /// artifact's encoded trace (as [`CompiledWorkload::compile_encoded`]
+    /// returns it).
+    pub(crate) fn bytes_with_body(&self, body: &[u8]) -> Vec<u8> {
         let header = Json::obj([
             ("schema", ARTIFACT_SCHEMA.to_json()),
             ("isa_version", ISA_VERSION.to_json()),
@@ -206,7 +225,7 @@ impl CompiledWorkload {
         let mut bytes = Vec::with_capacity(header.len() + 1 + body.len());
         bytes.extend_from_slice(header.as_bytes());
         bytes.push(b'\n');
-        bytes.extend_from_slice(&body);
+        bytes.extend_from_slice(body);
         bytes
     }
 

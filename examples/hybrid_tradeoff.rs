@@ -77,12 +77,10 @@ fn main() {
         FloorplanKind::DualPointSam { banks: 1 },
     ] {
         let base = ExperimentConfig::new(floorplan, factories).with_hybrid_fraction(fraction);
-        // One batch: the workload warms a single simulator for the shared
-        // (floorplan, hot set) group and copy-on-write forks it per policy
-        // variant instead of re-running placement for each.
-        let configs = PolicyKind::ALL.map(|policy| base.clone().with_migration(policy));
-        let results = workload.run_batch(&configs);
-        let runs: Vec<_> = PolicyKind::ALL.into_iter().zip(results).collect();
+        let runs: Vec<_> = PolicyKind::ALL
+            .into_iter()
+            .map(|policy| (policy, workload.run(&base.clone().with_migration(policy))))
+            .collect();
         let pinned = &runs
             .iter()
             .find(|(policy, _)| *policy == PolicyKind::Static)

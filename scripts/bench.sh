@@ -59,8 +59,6 @@ validate_hotpath_json() {
     '"latency_class"' \
     '"trace_lowering"' \
     '"trace_dispatch"' \
-    '"snapshot_fork"' \
-    '"snapshot_fork_scaling"' \
     '"calibration_ns_per_op"' \
     '"ns_per_instruction"'; do
     if ! grep -qF "$needle" "$file"; then
@@ -72,7 +70,7 @@ validate_hotpath_json() {
 }
 
 # Validates that a metrics document carries the lsqca-metrics-v1 schema with
-# the core lifecycle counters (compile, lower, warm, fork, execute, store).
+# the core lifecycle counters (compile, lower, warm, execute, store).
 validate_metrics_json() {
   local file="$1"
   local ok=0
@@ -83,7 +81,6 @@ validate_metrics_json() {
     '"histograms"' \
     '"trace.lowered"' \
     '"sim.warmed"' \
-    '"sim.forked"' \
     '"sim.runs"' \
     '"workload_cache.compiled"' \
     '"result_store.computed"'; do
@@ -129,36 +126,6 @@ extract_calibration() {
       exit
     }
   ' "$1"
-}
-
-# Asserts the copy-on-write fork contract: the snapshot_fork_scaling
-# comparison times the same fork on a 64x smaller machine (its "legacy" side)
-# and on the large one (its "optimized" side), so the reported speedup must
-# sit near 1.0 — fork cost is O(pages), independent of qubit count and grid
-# size. The bounds are generous to absorb timer noise on sub-microsecond
-# operations.
-check_fork_scaling() {
-  local file="$1"
-  local speedup
-  speedup="$(awk '
-    /"name": "snapshot_fork_scaling"/ { found = 1 }
-    found && /"speedup":/ {
-      line = $0
-      sub(/.*"speedup": */, "", line)
-      sub(/,.*/, "", line)
-      print line
-      exit
-    }
-  ' "$file")"
-  if [[ -z "$speedup" ]]; then
-    echo "error: $file is missing the snapshot_fork_scaling comparison" >&2
-    return 1
-  fi
-  if awk -v s="$speedup" 'BEGIN { exit !(s < 0.2 || s > 5.0) }'; then
-    echo "error: snapshot_fork_scaling ratio ${speedup} outside [0.2, 5.0]: fork cost scales with machine size" >&2
-    return 1
-  fi
-  echo "  snapshot_fork_scaling: small/large fork ratio ${speedup} in [0.2, 5.0] (fork is O(1)) OK"
 }
 
 # Fails if any end-to-end measurement in $2 regressed more than the tolerance
@@ -222,8 +189,6 @@ if [[ "${1:-}" == "--quick" ]]; then
   echo "== metrics artifact schema =="
   validate_metrics_json "$metrics"
   echo "schema lsqca-metrics-v1 OK: $metrics"
-  echo "== snapshot-fork O(1) gate =="
-  check_fork_scaling "$out"
   if [[ -f BENCH_hotpath.json ]]; then
     echo "== end-to-end regression gate (tolerance ${LSQCA_BENCH_TOLERANCE:-0.25}) =="
     if ! check_regression BENCH_hotpath.json "$out"; then
@@ -255,7 +220,6 @@ echo "== hot-path baseline =="
 tmp="$(mktemp /tmp/lsqca-hotpath-XXXXXX.json)"
 ./target/release/experiments hotpath --json > "$tmp"
 validate_hotpath_json "$tmp"
-check_fork_scaling "$tmp"
 mv "$tmp" BENCH_hotpath.json
 echo "wrote BENCH_hotpath.json:"
 ./target/release/experiments hotpath
